@@ -127,15 +127,16 @@ func run() int {
 		log.Printf("studyd: preloaded %d months, %d snapshots", cfg.Radiation.Months, len(cfg.SnapshotTimes))
 	}
 
+	// Catch signals before the listener opens: a client that sees the
+	// daemon answer may signal it at once.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	srv, err := daemon.Serve(d, *listen)
 	if err != nil {
 		log.Printf("studyd: %v", err)
 		return 1
 	}
 	log.Printf("studyd listening on %s", srv.Addr())
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	<-sigs
 	log.Printf("studyd: draining (in-flight work finishes, new ingests rejected)")
 

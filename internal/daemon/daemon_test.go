@@ -386,3 +386,45 @@ func TestDaemonHTTP(t *testing.T) {
 		t.Error("listener still accepting after Shutdown")
 	}
 }
+
+// TestDaemonIngestBodyLimit sends /ingest/* bodies one byte over the
+// limit, both a padded JSON object and a valid request followed by
+// padding: each must be refused 413 with nothing ingested. It also
+// pins the server timeouts: headers and idle connections are bounded,
+// writes are not (an ingest reply waits on its recompute).
+func TestDaemonIngestBodyLimit(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Serve(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(t.Context())
+	if s.srv.ReadHeaderTimeout <= 0 || s.srv.IdleTimeout <= 0 || s.srv.WriteTimeout != 0 {
+		t.Errorf("timeouts: read-header %v idle %v write %v; want bounded, bounded, none",
+			s.srv.ReadHeaderTimeout, s.srv.IdleTimeout, s.srv.WriteTimeout)
+	}
+	before := d.Snapshot().Seq
+	pad := func(prefix, suffix string) string {
+		return prefix + strings.Repeat(" ", maxIngestBody+1-len(prefix)-len(suffix)) + suffix
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/ingest/month", pad(`{"month": 0, "pad": "`, `"}`)},
+		{"/ingest/month", pad(`{"month": 0}`, "")},
+		{"/ingest/snapshot", pad(`{"time": "2020-06-17T12:00:00Z"}`, "")},
+	} {
+		resp, err := http.Post("http://"+s.Addr()+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d, want 413", tc.path, len(tc.body), resp.StatusCode)
+		}
+	}
+	if snap := d.Snapshot(); snap.Months != 0 || snap.Snapshots != 0 || snap.Seq != before {
+		t.Errorf("oversized bodies ingested: months %d snapshots %d seq %d", snap.Months, snap.Snapshots, snap.Seq)
+	}
+}

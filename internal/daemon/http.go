@@ -19,13 +19,26 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/report"
+)
+
+// Limits of the HTTP front end. There is deliberately no WriteTimeout:
+// an ingest's response waits on the report recompute, which must not be
+// cut off however long it runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// maxIngestBody bounds an /ingest/* request body; a real one is a
+	// few dozen bytes of JSON.
+	maxIngestBody = 1 << 20
 )
 
 // Server is a running HTTP front end over one Daemon.
@@ -47,7 +60,9 @@ func Serve(d *Daemon, addr string) (*Server, error) {
 	}
 	s := &Server{d: d, lis: lis, done: make(chan error, 1)}
 	s.srv = &http.Server{
-		Handler: d.Handler(),
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 		ConnState: func(_ net.Conn, state http.ConnState) {
 			switch state {
 			case http.StateNew:
@@ -196,11 +211,32 @@ func (d *Daemon) ingestReply(w http.ResponseWriter) {
 	})
 }
 
+// readIngestBody reads an /ingest/* body of at most maxIngestBody
+// bytes. An oversized body is answered 413 before any of it is
+// decoded, so nothing is ingested; ok is false once a reply is written.
+func readIngestBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
 func (d *Daemon) handleIngestMonth(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Month json.RawMessage `json:"month"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Month == nil {
+	body, ok := readIngestBody(w, r)
+	if !ok {
+		return
+	}
+	if err := json.Unmarshal(body, &req); err != nil || req.Month == nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("body must be {\"month\": <index or \"2006-01\">}"))
 		return
 	}
@@ -228,7 +264,11 @@ func (d *Daemon) handleIngestSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Time string `json:"time"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Time == "" {
+	body, ok := readIngestBody(w, r)
+	if !ok {
+		return
+	}
+	if err := json.Unmarshal(body, &req); err != nil || req.Time == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("body must be {\"time\": \"RFC3339\"}"))
 		return
 	}

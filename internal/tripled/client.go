@@ -2,6 +2,7 @@ package tripled
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -238,27 +239,45 @@ func (c *Client) NNZ() (int, error) {
 }
 
 func (c *Client) readBlock(first string) ([]string, error) {
+	var out []string
+	err := c.readBlockEach(first, func(line []byte) error {
+		out = append(out, string(line))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readBlockEach reads the block announced by the response line first,
+// handing each data line to fn. The bytes are only valid during the
+// call. After fn's first error the rest of the block is still consumed,
+// so the connection stays in sync, and that error is returned.
+func (c *Client) readBlockEach(first string, fn func(line []byte) error) error {
 	if strings.HasPrefix(first, "ERR ") {
-		return nil, fmt.Errorf("tripled: server: %s", first[4:])
+		return fmt.Errorf("tripled: server: %s", first[4:])
 	}
 	if !strings.HasPrefix(first, "BLOCK ") {
-		return nil, fmt.Errorf("tripled: expected BLOCK, got %q", first)
+		return fmt.Errorf("tripled: expected BLOCK, got %q", first)
 	}
 	n, err := strconv.Atoi(strings.TrimPrefix(first, "BLOCK "))
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("tripled: bad block header %q", first)
+		return fmt.Errorf("tripled: bad block header %q", first)
 	}
-	out := make([]string, 0, n)
+	var fnErr error
 	for i := 0; i < n; i++ {
 		if !c.r.Scan() {
 			// The stream died mid-block: a transport event, retryable on
 			// a fresh connection (reads are pure).
-			return nil, &TransportError{Op: "recv",
+			return &TransportError{Op: "recv",
 				Err: fmt.Errorf("truncated block (%d of %d lines)", i, n)}
 		}
-		out = append(out, c.r.Text())
+		if fnErr == nil {
+			fnErr = fn(c.r.Bytes())
+		}
 	}
-	return out, nil
+	return fnErr
 }
 
 func (c *Client) cellsQuery(verb, key string) (map[string]assoc.Value, error) {
@@ -343,28 +362,41 @@ func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) 
 // the scan is done (rows deleted concurrently drop out of a page);
 // loop until an empty page, as FetchAssoc does.
 func (c *Client) ScanCells(start, end string, limit int, cursor string) ([]Cell, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
+	var out []Cell
+	err := c.scanCellsEach(start, end, limit, cursor, func(row []byte, col string, v assoc.Value) {
+		out = append(out, Cell{Row: string(row), Col: col, Val: v})
+	})
 	if err != nil {
 		return nil, err
-	}
-	lines, err := c.readBlock(resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Cell, 0, len(lines))
-	for _, line := range lines {
-		parts := strings.SplitN(line, "\t", 4)
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("tripled: malformed cells line %q", line)
-		}
-		v, err := parseValue(parts[2], parts[3])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Cell{Row: parts[0], Col: parts[1], Val: v})
 	}
 	return out, nil
 }
+
+// scanCellsEach requests one CELLS page and hands each cell to fn in
+// order, parsing the block lines in place. row is only valid during
+// the call.
+func (c *Client) scanCellsEach(start, end string, limit int, cursor string, fn func(row []byte, col string, v assoc.Value)) error {
+	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
+	if err != nil {
+		return err
+	}
+	return c.readBlockEach(resp, func(line []byte) error {
+		row, rest, ok1 := bytes.Cut(line, tab)
+		col, rest, ok2 := bytes.Cut(rest, tab)
+		marker, raw, ok3 := bytes.Cut(rest, tab)
+		if !ok1 || !ok2 || !ok3 {
+			return fmt.Errorf("tripled: malformed cells line %q", line)
+		}
+		v, err := parseValueBytes(marker, raw)
+		if err != nil {
+			return err
+		}
+		fn(row, string(col), v)
+		return nil
+	})
+}
+
+var tab = []byte{'\t'}
 
 // TopRowsByDegree queries the server's degree table.
 func (c *Client) TopRowsByDegree(k int) ([]RowDegree, error) {
@@ -504,29 +536,46 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 	}
 }
 
-// FetchAssoc reads every cell under the row-key prefix back into an
-// associative array, paging with CELLS (pageRows rows per round trip)
-// and stripping the prefix from the row keys. The scan ends at the
-// first empty page: a short non-empty page only advances the cursor
-// (concurrent deletes can legitimately shorten a page), so nothing is
-// silently truncated.
+// FetchAssoc reads every cell under the row-key prefix back into a new
+// associative array; see FetchInto.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
+	out := assoc.New()
+	if err := c.FetchInto(out, prefix, pageRows); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FetchInto sets every cell under the row-key prefix into out, paging
+// with CELLS (pageRows rows per round trip) and stripping the prefix
+// from the row keys. Cells already in out are overwritten, others kept,
+// so fetching several replicas into one array is their union. The scan
+// ends at the first empty page: a short non-empty page only advances
+// the cursor (concurrent deletes can legitimately shorten a page), so
+// nothing is silently truncated. On error out holds the cells of the
+// pages read so far.
+func (c *Client) FetchInto(out *assoc.Assoc, prefix string, pageRows int) error {
 	if pageRows < 1 {
 		pageRows = 512
 	}
-	out := assoc.New()
-	cursor := ""
+	end := PrefixEnd(prefix)
+	cursor, row := "", ""
 	for {
-		cells, err := c.ScanCells(prefix, PrefixEnd(prefix), pageRows, cursor)
+		n := 0
+		err := c.scanCellsEach(prefix, end, pageRows, cursor, func(full []byte, col string, v assoc.Value) {
+			n++
+			// Cells arrive row by row: convert each row key once.
+			if string(full) != cursor {
+				cursor = string(full)
+				row = strings.TrimPrefix(cursor, prefix)
+			}
+			out.Set(row, col, v)
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(cells) == 0 {
-			return out, nil
+		if n == 0 {
+			return nil
 		}
-		for _, cell := range cells {
-			out.Set(strings.TrimPrefix(cell.Row, prefix), cell.Col, cell.Val)
-		}
-		cursor = cells[len(cells)-1].Row
 	}
 }

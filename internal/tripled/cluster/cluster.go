@@ -602,24 +602,20 @@ func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) 
 	return out, nil
 }
 
-// FetchAssoc merges the prefix export from every live node (replica
-// copies of a cell are identical, so the merge is idempotent), under
-// the same completeness guard as ScanAllRows.
+// FetchAssoc merges the prefix export from every live node straight
+// into one array (replica copies of a cell are identical, so the merge
+// is idempotent), under the same completeness guard as ScanAllRows.
+// Reading the union over all up nodes, not a covering subset, is what
+// masks a rejoined replica that repair has not yet refilled. A node
+// that fails mid-fetch leaves only cells it held, which its replicas
+// hold as well; a retry re-sets the same values.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	if err := c.guardComplete("fetch " + prefix); err != nil {
 		return nil, err
 	}
 	out := assoc.New()
 	err := c.eachUpNode("fetch", func(cl *tripled.Client) error {
-		a, err := cl.FetchAssoc(prefix, pageRows)
-		if err != nil {
-			return err
-		}
-		a.Iterate(func(row, col string, v assoc.Value) bool {
-			out.Set(row, col, v)
-			return true
-		})
-		return nil
+		return cl.FetchInto(out, prefix, pageRows)
 	})
 	if err != nil {
 		return nil, err

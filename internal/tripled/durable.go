@@ -17,7 +17,6 @@ package tripled
 // benchmark gate.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -200,19 +199,26 @@ func applyRuns(store *Store, ops []batchOp) (int, error) {
 // "D\trow\tcol"), newline-joined. Keys were validated at parse time,
 // so the line format cannot be corrupted from here.
 func encodeOps(ops []batchOp) []byte {
-	var b bytes.Buffer
+	n := 0
+	for _, op := range ops {
+		// 32 covers the op letter, tabs, marker, newline and the
+		// longest 'g'-formatted float (24 bytes).
+		n += len(op.cell.Row) + len(op.cell.Col) + len(op.cell.Val.Str) + 32
+	}
+	b := make([]byte, 0, n)
 	for _, op := range ops {
 		if op.del {
-			fmt.Fprintf(&b, "D\t%s\t%s\n", op.cell.Row, op.cell.Col)
+			b = append(b, "D\t"...)
+			b = append(b, op.cell.Row...)
+			b = append(b, '\t')
+			b = append(b, op.cell.Col...)
+			b = append(b, '\n')
 			continue
 		}
-		marker := "s"
-		if op.cell.Val.Numeric {
-			marker = "n"
-		}
-		fmt.Fprintf(&b, "P\t%s\t%s\t%s\t%s\n", op.cell.Row, op.cell.Col, marker, op.cell.Val.String())
+		b = append(b, "P\t"...)
+		b = appendCell(b, op.cell.Row, op.cell.Col, op.cell.Val)
 	}
-	return b.Bytes()
+	return b
 }
 
 // decodeOps parses a WAL payload back into ops.

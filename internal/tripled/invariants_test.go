@@ -2,6 +2,8 @@ package tripled
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/assoc"
@@ -20,8 +22,9 @@ func valueEqual(a, b assoc.Value) bool {
 // verifyStoreInvariants cross-checks every stripe's redundant
 // structures: row index vs transpose index, nnz vs cell count, empty
 // map cleanup (degree tables are derived from these map sizes, so
-// their correctness rides on the same checks), and row-to-stripe
-// placement. The fuzz and soak
+// their correctness rides on the same checks), row-to-stripe
+// placement, and, after a fold, the ordered row index against the
+// sorted key set of the row index. The fuzz and soak
 // tests call it to prove no input sequence can corrupt the store.
 func verifyStoreInvariants(t *testing.T, s *Store) {
 	t.Helper()
@@ -63,6 +66,14 @@ func verifyStoreInvariants(t *testing.T, s *Store) {
 			if d := len(st.cols[col]); d != n {
 				t.Errorf("derived colDeg[%q] = %d, want %d", col, d, n)
 			}
+		}
+		rowKeys := make([]string, 0, len(st.rows))
+		for row := range st.rows {
+			rowKeys = append(rowKeys, row)
+		}
+		sort.Strings(rowKeys)
+		if keys := st.index(); !slices.Equal(keys, rowKeys) {
+			t.Errorf("stripe %d ordered index holds %d keys, rows %d (or order differs)", i, len(keys), len(rowKeys))
 		}
 		st.mu.RUnlock()
 	}

@@ -335,11 +335,7 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 		cells, _ := s.store.ScanCells(parts[1], parts[2], limit, parts[4])
 		fmt.Fprintf(w, "BLOCK %d\n", len(cells))
 		for _, c := range cells {
-			marker := "s"
-			if c.Val.Numeric {
-				marker = "n"
-			}
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", c.Row, c.Col, marker, c.Val.String())
+			w.Write(appendCell(w.AvailableBuffer(), c.Row, c.Col, c.Val))
 		}
 	case "RESYNC":
 		return s.handleResync(w, parts)

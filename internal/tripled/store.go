@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,12 +50,31 @@ type CellKey struct {
 // not materialized — a row's degree is len(rows[row]) and a column's
 // per-stripe degree is len(cols[col]), merged on demand — so mutations
 // touch two maps, not four.
+//
+// keys is the stripe's ordered row index, maintained lazily: writers
+// only log the rows they create (added) or empty (removed), and the
+// next scan folds the log into a new sorted slice (index). A published
+// keys slice is never written again, so a scan may keep a sub-slice of
+// it after dropping the stripe lock.
 type stripe struct {
 	mu   sync.RWMutex
 	rows map[string]map[string]assoc.Value // row -> col -> value
 	cols map[string]map[string]assoc.Value // col -> row -> value (transpose)
 	nnz  int
+
+	// Written under mu (write) by put/del; folded under mu (read) plus
+	// idxMu by index, so concurrent scans fold at most once.
+	idxMu   sync.Mutex
+	keys    []string // sorted row keys as of the last fold
+	added   []string // rows created since the last fold (unsorted, may repeat)
+	removed []string // rows emptied since the last fold (unsorted, may repeat)
 }
+
+// foldSlack bounds the unfolded log of a stripe that is written but
+// never scanned: past len(keys)+foldSlack entries the writer folds it
+// itself, so the log stays proportional to the index it updates and
+// the fold work stays amortized O(1) per logged row.
+const foldSlack = 4096
 
 // Store is a concurrency-safe triple store sharded over row-hash
 // stripes. The zero value is not usable; call NewStore.
@@ -117,6 +137,10 @@ func (st *stripe) put(row, col string, v assoc.Value) {
 	if !ok {
 		r = make(map[string]assoc.Value)
 		st.rows[row] = r
+		st.added = append(st.added, row)
+		if len(st.added)+len(st.removed) > len(st.keys)+foldSlack {
+			st.index() // fold now: nobody may scan this stripe for a while
+		}
 	}
 	if _, exists := r[col]; !exists {
 		st.nnz++
@@ -197,6 +221,7 @@ func (st *stripe) del(row, col string) bool {
 	delete(r, col)
 	if len(r) == 0 {
 		delete(st.rows, row)
+		st.removed = append(st.removed, row)
 	}
 	c := st.cols[col]
 	delete(c, row)
@@ -286,91 +311,156 @@ func (s *Store) RowRange(start, end string) []string {
 	return rows
 }
 
+// index returns the stripe's sorted row keys, first folding in the
+// rows created and emptied since the last call. The caller holds st.mu
+// (read or write); idxMu serializes concurrent readers' folds. The
+// fold writes a new slice, so a slice returned earlier stays valid.
+func (st *stripe) index() []string {
+	st.idxMu.Lock()
+	defer st.idxMu.Unlock()
+	if len(st.added) == 0 && len(st.removed) == 0 {
+		return st.keys
+	}
+	// Net effect of the log against the current rows: a created row
+	// may have emptied again, an emptied one may be back.
+	add := st.added[:0]
+	for _, r := range st.added {
+		if _, ok := st.rows[r]; ok {
+			add = append(add, r)
+		}
+	}
+	gone := st.removed[:0]
+	for _, r := range st.removed {
+		if _, ok := st.rows[r]; !ok {
+			gone = append(gone, r)
+		}
+	}
+	sort.Strings(add)
+	sort.Strings(gone)
+	// Walk the edits in key order, copying the untouched runs of keys
+	// between them wholesale: O(edits·log N) compares plus one copy.
+	keys := st.keys
+	out := make([]string, 0, len(keys)+len(add))
+	for len(add) > 0 || len(gone) > 0 {
+		var k string
+		isAdd := len(gone) == 0 || (len(add) > 0 && add[0] < gone[0])
+		if isAdd {
+			k, add = add[0], add[1:]
+		} else {
+			k, gone = gone[0], gone[1:]
+		}
+		p := sort.SearchStrings(keys, k)
+		out = append(out, keys[:p]...)
+		keys = keys[p:]
+		present := len(keys) > 0 && keys[0] == k
+		switch {
+		case isAdd && !present && (len(out) == 0 || out[len(out)-1] != k):
+			out = append(out, k)
+		case !isAdd && present:
+			keys = keys[1:]
+		}
+	}
+	st.keys = append(out, keys...)
+	st.added, st.removed = nil, nil
+	return st.keys
+}
+
+// stripeRange returns the stripe's sorted row keys r with r >= lo (or
+// r > lo when excl), r < end (empty end = unbounded), no more than
+// most of them (most <= 0 = all). The result aliases the immutable index.
+func (st *stripe) stripeRange(lo string, excl bool, end string, most int) []string {
+	st.mu.RLock()
+	keys := st.index()
+	st.mu.RUnlock()
+	i := sort.SearchStrings(keys, lo)
+	if excl && i < len(keys) && keys[i] == lo {
+		i++
+	}
+	keys = keys[i:]
+	if most > 0 && len(keys) > most {
+		keys = keys[:most]
+	}
+	if end != "" {
+		keys = keys[:sort.SearchStrings(keys, end)]
+	}
+	return keys
+}
+
+// mergeRuns merges sorted, pairwise-disjoint runs (rows live in
+// exactly one stripe) into one sorted slice of no more than most
+// keys (most <= 0 = all).
+func mergeRuns(runs [][]string, most int) []string {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	if most > 0 && total > most {
+		total = most
+	}
+	out := make([]string, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || r[0] < runs[best][0]) {
+				best = i
+			}
+		}
+		out = append(out, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+	return out
+}
+
 // ScanRows is the paged form of RowRange: it returns up to limit sorted
 // row keys r with r >= start, r < end (empty end = unbounded), and
 // r > cursor when cursor is non-empty. A limit <= 0 means unlimited.
 // The second result reports whether more rows remain past the page —
-// pass the last returned key back as the cursor to continue. Paged
-// selection keeps only the limit smallest matches in a bounded max-heap
-// (O(rows log limit) per page, no full sort of the tail).
+// pass the last returned key back as the cursor to continue. Each
+// stripe's ordered index is binary-searched to the page start and
+// contributes at most limit+1 keys, which are merged: a page costs
+// O(stripes·log rows + stripes·limit), independent of how many rows
+// the store holds outside the page.
 func (s *Store) ScanRows(start, end string, limit int, cursor string) ([]string, bool) {
-	var out []string
-	matched := 0
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		for r := range st.rows {
-			if r < start || (end != "" && r >= end) || (cursor != "" && r <= cursor) {
-				continue
-			}
-			matched++
-			if limit <= 0 || len(out) < limit {
-				out = append(out, r)
-				heapUp(out)
-			} else if r < out[0] {
-				out[0] = r
-				heapDown(out)
-			}
-		}
-		st.mu.RUnlock()
+	lo, excl := start, false
+	if cursor != "" && cursor >= start {
+		lo, excl = cursor, true
 	}
-	sort.Strings(out)
-	return out, limit > 0 && matched > limit
-}
-
-// heapUp restores the string max-heap property after appending to h.
-func heapUp(h []string) {
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] >= h[i] {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
+	most := 0 // per stripe: limit plus one key to decide the more flag
+	if limit > 0 {
+		most = limit + 1
 	}
-}
-
-// heapDown restores the max-heap property after replacing h[0].
-func heapDown(h []string) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && h[l] > h[big] {
-			big = l
-		}
-		if r < len(h) && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
+	runs := make([][]string, len(s.stripes))
+	for i, st := range s.stripes {
+		runs[i] = st.stripeRange(lo, excl, end, most)
 	}
+	out := mergeRuns(runs, most)
+	if limit > 0 && len(out) > limit {
+		return out[:limit], true
+	}
+	return out, false
 }
 
 // ScanCells returns every cell of up to limit rows of the paged row
 // scan defined by ScanRows, sorted by (row, col), plus the more flag.
 // It is the bulk-export query: one round trip per page instead of one
-// ROW query per key. A row deleted between the page selection and its
-// cell read simply drops from the page (each row's cells are read
-// atomically); if every selected row vanished that way, the scan
-// advances past them rather than returning a spurious end-of-scan.
+// ROW query per key. Each row's cells are read in place under its
+// stripe's read lock, so a row is never torn. A row deleted between the
+// page selection and its cell read simply drops from the page; if every
+// selected row vanished that way, the scan advances past them rather
+// than returning a spurious end-of-scan.
 func (s *Store) ScanCells(start, end string, limit int, cursor string) ([]Cell, bool) {
 	for {
 		rows, more := s.ScanRows(start, end, limit, cursor)
-		var out []Cell
+		out := make([]Cell, 0, len(rows))
 		for _, r := range rows {
-			cells := s.Row(r)
-			cols := make([]string, 0, len(cells))
-			for c := range cells {
-				cols = append(cols, c)
+			st := s.stripeFor(r)
+			base := len(out)
+			st.mu.RLock()
+			for c, v := range st.rows[r] {
+				out = append(out, Cell{Row: r, Col: c, Val: v})
 			}
-			sort.Strings(cols)
-			for _, c := range cols {
-				out = append(out, Cell{Row: r, Col: c, Val: cells[c]})
-			}
+			st.mu.RUnlock()
+			slices.SortFunc(out[base:], func(a, b Cell) int { return strings.Compare(a.Col, b.Col) })
 		}
 		if len(out) > 0 || !more {
 			return out, more
@@ -477,34 +567,29 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 
 // WriteLog appends the entire table to w as replayable PUT records (the
 // persistence format: one "P<TAB>row<TAB>col<TAB>type<TAB>value" line
-// per cell). Like ToAssoc, the log is an atomic snapshot: every stripe
-// stays read-locked until the last record is buffered, so the log
-// always corresponds to a state the store actually held.
+// per cell, rows and then columns in sorted order). Like ToAssoc, the
+// log is an atomic snapshot: every stripe stays read-locked until the
+// last record is buffered, so the log always corresponds to a state
+// the store actually held.
 func (s *Store) WriteLog(w io.Writer) error {
 	s.rlockAll()
 	defer s.runlockAll()
-	bw := bufio.NewWriter(w)
-	var rows []string
-	for _, st := range s.stripes {
-		for r := range st.rows {
-			rows = append(rows, r)
-		}
+	runs := make([][]string, len(s.stripes))
+	for i, st := range s.stripes {
+		runs[i] = st.index()
 	}
-	sort.Strings(rows)
-	for _, row := range rows {
+	bw := bufio.NewWriter(w)
+	var cols []string
+	for _, row := range mergeRuns(runs, 0) {
 		cells := s.stripeFor(row).rows[row]
-		cols := make([]string, 0, len(cells))
+		cols = cols[:0]
 		for c := range cells {
 			cols = append(cols, c)
 		}
 		sort.Strings(cols)
 		for _, col := range cols {
-			v := cells[col]
-			marker := "s"
-			if v.Numeric {
-				marker = "n"
-			}
-			if _, err := fmt.Fprintf(bw, "P\t%s\t%s\t%s\t%s\n", row, col, marker, v.String()); err != nil {
+			line := append(bw.AvailableBuffer(), "P\t"...)
+			if _, err := bw.Write(appendCell(line, row, col, cells[col])); err != nil {
 				return err
 			}
 		}
@@ -560,4 +645,29 @@ func parseValue(marker, raw string) (assoc.Value, error) {
 	default:
 		return assoc.Value{}, fmt.Errorf("unknown value marker %q", marker)
 	}
+}
+
+// parseValueBytes is parseValue over a wire line's bytes; a numeric
+// value is parsed without copying it into a string first.
+func parseValueBytes(marker, raw []byte) (assoc.Value, error) {
+	if string(marker) == "n" {
+		f, err := strconv.ParseFloat(string(raw), 64)
+		if err != nil {
+			return assoc.Value{}, fmt.Errorf("bad number %q", raw)
+		}
+		return assoc.Num(f), nil
+	}
+	return parseValue(string(marker), string(raw))
+}
+
+// appendCell renders the "row<TAB>col<TAB><n|s><TAB>value\n" tail shared
+// by CELLS response lines, WAL PUT records and WriteLog records; the
+// value text is Value.String's.
+func appendCell(b []byte, row, col string, v assoc.Value) []byte {
+	b = append(b, row...)
+	b = append(b, '\t')
+	b = append(b, col...)
+	b = append(b, '\t')
+	b = appendValue(b, v)
+	return append(b, '\n')
 }

@@ -344,3 +344,39 @@ func BenchmarkClientPut(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScanCellsPage fetches one 512-row CELLS page of a 2,048-row
+// table from a store that holds 10k rows in all and from one that holds
+// 160k, the rest under other prefixes (as earlier months sit beside the
+// one a study fetches). ns/op should be flat across the two sizes: a
+// page costs what it returns, not what the store holds.
+func BenchmarkScanCellsPage(b *testing.B) {
+	for _, total := range []int{10_000, 160_000} {
+		b.Run("rows="+strconv.Itoa(total), func(b *testing.B) {
+			s := NewStore()
+			cells := make([]Cell, 0, 2*total)
+			for i := 0; i < total; i++ {
+				table := 7
+				if i >= 2048 {
+					table = 8 + i%72 // the other months
+				}
+				row := fmt.Sprintf("hf/%02d/%07d", table, i)
+				cells = append(cells,
+					Cell{Row: row, Col: "packets", Val: assoc.Num(float64(i))},
+					Cell{Row: row, Col: "class", Val: assoc.Str("scanner")})
+			}
+			if err := s.PutBatch(cells); err != nil {
+				b.Fatal(err)
+			}
+			prefix := "hf/07/"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				page, more := s.ScanCells(prefix, PrefixEnd(prefix), 512, "")
+				if len(page) != 1024 || !more {
+					b.Fatalf("page holds %d cells, more=%v", len(page), more)
+				}
+			}
+		})
+	}
+}
