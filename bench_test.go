@@ -215,7 +215,7 @@ func BenchmarkCaptureWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tel := telescope.New(cfg.Darkspace, "bench-key")
-		w, err := tel.CaptureWindow(pop.TelescopeStream(4.5, time.Unix(0, 0)), nv)
+		w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.5, time.Unix(0, 0)), nv, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,9 +227,9 @@ func BenchmarkCaptureWindow(b *testing.B) {
 }
 
 // BenchmarkEngineWindow compares window construction through the
-// sharded streaming engine across worker counts; workers=1 is the serial
-// degenerate path, so the subbenchmark ratios are the engine's speedup
-// curve. The cost covered is the full hot path: stream generation,
+// sharded streaming engine across worker counts; workers=1 is the
+// one-shard case of the same build, so the subbenchmark ratios are the
+// engine's speedup curve. The cost covered is the full hot path: stream generation,
 // validity filter, CryptoPAN, leaf assembly, hierarchical merge.
 func BenchmarkEngineWindow(b *testing.B) {
 	cfg := radiation.DefaultConfig()
@@ -446,7 +446,7 @@ func BenchmarkWindowing(b *testing.B) {
 		var nv int
 		for i := 0; i < b.N; i++ {
 			tel := telescope.New(cfg.Darkspace, "bench-key")
-			w, err := tel.CaptureWindow(pop.TelescopeStream(4.5, time.Unix(0, 0)), 1<<15)
+			w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.5, time.Unix(0, 0)), 1<<15, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -32,16 +32,16 @@
 //     Cached.AnonymizeBatch slab) must be allocation-free (gate 0).
 //
 // With -study the report is the BENCH_study.json schema: whole-study
-// wall clock for the StudyWorkers=1 serial oracle and the parallel
-// scheduler (with engine packets/sec), their speedup, the report
-// graph's fit_wall phase (the Fig 7/8 GridSearch2 sweeps at
-// ReportWorkers=1 vs the pool-scheduled fan-out, with fits/sec), and
-// ns/op + allocs/op for the frozen correlation kernels (Figure 4's
-// peak and Figures 5-8's temporal series). Its gates:
+// wall clock for the study runner at StudyWorkers=1 and fanned out
+// (with engine packets/sec), their speedup, the report graph's
+// fit_wall phase (the Fig 7/8 GridSearch2 sweeps at ReportWorkers=1 vs
+// the pool-scheduled fan-out, with fits/sec), and ns/op + allocs/op
+// for the frozen correlation kernels (Figure 4's peak and Figures
+// 5-8's temporal series). Its gates:
 //
 //   - the correlation kernels must be allocation-free at steady state
 //     (machine-independent, always enforced);
-//   - the parallel study must be >= 2x the serial oracle — enforced
+//   - the fanned-out study must be >= 2x StudyWorkers=1 — enforced
 //     only on machines with at least study_speedup_min_cpus CPUs,
 //     since the fan-out merely interleaves on fewer cores; below that
 //     the report records the measured value and annotates the skip
@@ -153,8 +153,8 @@ type Report struct {
 	// allocate-per-level Add tree on identical leaves (machine-relative,
 	// measured in-process). Hot-path schema only.
 	MergeSpeedup float64 `json:"merge_speedup,omitempty"`
-	// StudySpeedup is the parallel scheduler's whole-study advantage
-	// over the StudyWorkers=1 serial oracle. Study schema only; read it
+	// StudySpeedup is the study runner's whole-study advantage at
+	// StudyWorkers > 1 over StudyWorkers=1. Study schema only; read it
 	// together with numcpu — on a 1-CPU machine it hovers near 1x by
 	// construction.
 	StudySpeedup float64 `json:"study_speedup,omitempty"`
@@ -1020,8 +1020,8 @@ func studyConfig(quick bool) core.Config {
 	return cfg
 }
 
-// measureStudy times the whole study on the serial oracle and the
-// parallel scheduler, then benchmarks the frozen correlation kernels on
+// measureStudy times the whole study at StudyWorkers=1 and fanned
+// out, then benchmarks the frozen correlation kernels on
 // the resulting tables.
 func measureStudy(quick bool) *Report {
 	rep := &Report{

@@ -28,7 +28,7 @@ func main() {
 		nv            = flag.Int("nv", 0, "override telescope window size NV")
 		sources       = flag.Int("sources", 0, "override population size")
 		seed          = flag.Int64("seed", 0, "override random seed")
-		studyWorkers  = flag.Int("study-workers", 0, "study-level fan-out: months/snapshots in flight (1 = serial oracle, 0 = GOMAXPROCS)")
+		studyWorkers  = flag.Int("study-workers", 0, "study-level fan-out: months/snapshots in flight (1 = in line on one goroutine, 0 = GOMAXPROCS)")
 		reportWorkers = flag.Int("report-workers", 0, "report-graph fit fan-out (1 = serial oracle, 0 = GOMAXPROCS)")
 	)
 	flag.Parse()

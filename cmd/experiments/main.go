@@ -44,10 +44,10 @@ func main() {
 		nv       = flag.Int("nv", 0, "override telescope window size NV")
 		sources  = flag.Int("sources", 0, "override population size")
 		seed     = flag.Int64("seed", 0, "override random seed")
-		workers  = flag.Int("workers", 0, "engine shard workers (1 = serial, 0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "engine shard workers (0 = GOMAXPROCS)")
 		leafSize = flag.Int("leaf-size", 0, "override entries per hypersparse leaf matrix")
 		batch    = flag.Int("batch", 0, "packets per engine batch (0 = leaf size)")
-		study    = flag.Int("study-workers", 0, "study-level fan-out: months/snapshots in flight (1 = serial oracle, 0 = GOMAXPROCS)")
+		study    = flag.Int("study-workers", 0, "study-level fan-out: months/snapshots in flight (1 = in line on one goroutine, 0 = GOMAXPROCS)")
 		repWork  = flag.Int("report-workers", 0, "report-graph fit fan-out (1 = serial oracle, 0 = GOMAXPROCS)")
 		artDir   = flag.String("artifacts", "", "also write all seven artifacts as TSV to this directory")
 		store    = flag.String("store", "", `tripled D4M server for the correlation tables ("auto" = in-process)`)

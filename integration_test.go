@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
+	"repro/internal/hypersparse"
 	"repro/internal/netquant"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
@@ -38,8 +39,9 @@ func TestScenarioSuite(t *testing.T) {
 }
 
 // TestE2ECasesAudit pins docs/e2e-cases.md to reality: every `done`
-// row must name its coverage, and the Z-table must match the shipped
-// scenario files one-to-one (same drift check as `scenarios -audit`).
+// row must name its coverage, every Go test it names must exist, and
+// the Z-table must match the shipped scenario files one-to-one (same
+// drift check as `scenarios -audit`).
 func TestE2ECasesAudit(t *testing.T) {
 	scs, err := scenario.LoadDir("scenarios")
 	if err != nil {
@@ -90,7 +92,7 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 	const nv = 1 << 14
 	tel := telescope.New(cfg.Darkspace, "integration-key", telescope.WithLeafSize(1<<10))
-	win, err := tel.CaptureWindow(&telescope.ReaderSource{R: pr}, nv)
+	win, err := tel.CaptureWindowEngine(context.Background(), &telescope.ReaderSource{R: pr}, nv, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +195,30 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 }
 
-// TestEndToEndParallelCaptureAgreesOnTables verifies the parallel and
-// serial capture paths feed identical D4M tables into the correlation
-// stage.
+// classicWindow is the per-packet capture the telescope had before the
+// sharded engine — validity filter, CryptoPAN, one accumulator on the
+// caller's goroutine — kept as the oracle the production capture is
+// diffed against at the D4M boundary.
+func classicWindow(tel *telescope.Telescope, src telescope.PacketSource, nv int) *telescope.Window {
+	anon := tel.Anonymizer()
+	acc := hypersparse.NewAccumulator(1<<14, 0)
+	w := &telescope.Window{}
+	var pkt pcap.Packet
+	for w.NV < nv && src.Next(&pkt) {
+		if !tel.Valid(&pkt) {
+			w.Dropped++
+			continue
+		}
+		acc.Add(uint32(anon.Anonymize(pkt.Src)), uint32(anon.Anonymize(pkt.Dst)), 1)
+		w.NV++
+	}
+	w.Matrix = acc.Finish()
+	return w
+}
+
+// TestEndToEndParallelCaptureAgreesOnTables verifies the sharded
+// capture feeds the correlation stage the same D4M table as the
+// per-packet classic build.
 func TestEndToEndParallelCaptureAgreesOnTables(t *testing.T) {
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 3000
@@ -212,7 +235,7 @@ func TestEndToEndParallelCaptureAgreesOnTables(t *testing.T) {
 		if parallel {
 			win, err = tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(3, time.Unix(0, 0)), nv, 4, 0)
 		} else {
-			win, err = tel.CaptureWindow(pop.TelescopeStream(3, time.Unix(0, 0)), nv)
+			win = classicWindow(tel, pop.TelescopeStream(3, time.Unix(0, 0)), nv)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -31,15 +31,15 @@ type Config struct {
 
 	NV       int // telescope window size in valid packets
 	LeafSize int // hierarchical leaf size (paper: 2^17)
-	Workers  int // engine shard workers; 1 = serial oracle, 0 = GOMAXPROCS
+	Workers  int // engine shard workers per window; 0 = GOMAXPROCS
 	Batch    int // packets per engine batch; 0 = LeafSize
 
 	// StudyWorkers is the study-level fan-out: how many goroutines
 	// ingest honeyfarm months and capture telescope snapshots
-	// concurrently. 1 runs the strictly serial path retained as the
-	// correctness oracle; 0 uses GOMAXPROCS. Any value produces
-	// byte-identical artifacts — results are assembled by index, and
-	// every month and snapshot is deterministic in isolation.
+	// concurrently. 1 runs the same pool on the caller's goroutine; 0
+	// uses GOMAXPROCS. Any value produces byte-identical artifacts —
+	// results are assembled by index, and every month and snapshot is
+	// deterministic in isolation.
 	StudyWorkers int
 
 	// ReportWorkers is the report-graph fan-out: how many of
@@ -187,8 +187,17 @@ type Pipeline struct {
 
 // New validates the configuration and builds the population, telescope,
 // and honeyfarm.
-func New(cfg Config) (*Pipeline, error) {
-	if err := cfg.Validate(); err != nil {
+func New(cfg Config) (*Pipeline, error) { return newPipeline(cfg, false) }
+
+// NewResident builds a Pipeline for a long-lived incremental owner
+// (the study daemon): identical to New except the configuration may
+// start with no snapshot times — a resident study begins empty and
+// grows months and snapshots one IngestMonth / IngestSnapshot call at
+// a time.
+func NewResident(cfg Config) (*Pipeline, error) { return newPipeline(cfg, true) }
+
+func newPipeline(cfg Config, resident bool) (*Pipeline, error) {
+	if err := cfg.validate(resident); err != nil {
 		return nil, err
 	}
 	pop, err := radiation.NewPopulation(cfg.Radiation)
@@ -197,25 +206,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	// Capture runs through the engine, which takes cfg.Workers directly;
 	// the telescope only needs the leaf size here.
-	tel := telescope.New(cfg.Radiation.Darkspace, cfg.AnonPassphrase,
-		telescope.WithLeafSize(cfg.LeafSize))
-	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
-	return &Pipeline{cfg: cfg, pop: pop, tel: tel, farm: farm}, nil
-}
-
-// NewResident builds a Pipeline for a long-lived incremental owner
-// (the study daemon): identical to New except the configuration may
-// start with no snapshot times — a resident study begins empty and
-// grows months and snapshots one IngestMonth / IngestSnapshot call at
-// a time.
-func NewResident(cfg Config) (*Pipeline, error) {
-	if err := cfg.validate(true); err != nil {
-		return nil, err
-	}
-	pop, err := radiation.NewPopulation(cfg.Radiation)
-	if err != nil {
-		return nil, err
-	}
 	tel := telescope.New(cfg.Radiation.Darkspace, cfg.AnonPassphrase,
 		telescope.WithLeafSize(cfg.LeafSize))
 	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
@@ -296,10 +286,9 @@ func (p *Pipeline) Run() (*Result, error) { return p.RunContext(context.Backgrou
 // RunContext executes the full study: 15 honeyfarm months plus one
 // telescope window per configured snapshot time captured through the
 // sharded streaming engine (Config.Workers shards per window), reduced
-// to D4M source tables. With Config.StudyWorkers != 1, months and
-// snapshots themselves fan out across goroutines (see scheduler.go);
-// StudyWorkers=1 runs this strictly serial path, retained as the
-// correctness oracle the scheduler is diffed against. With
+// to D4M source tables. Months and snapshots run as units on the study
+// pool (see scheduler.go), Config.StudyWorkers of them at a time; one
+// worker runs them in line on the caller's goroutine. With
 // Config.StoreAddr set, every table additionally round-trips through
 // the tripled service before correlation. Cancelling ctx abandons the
 // study mid-window.
@@ -308,91 +297,66 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		return p.runSerial(ctx)
-	}
-	return p.runParallel(ctx, workers)
-}
-
-// runSerial is the StudyWorkers=1 degenerate path: months then
-// snapshots, one at a time, on the caller's goroutine. Each iteration
-// is one incremental unit — the same IngestMonth / IngestSnapshot the
-// resident daemon calls — so batch and incremental results are
-// identical by construction.
-func (p *Pipeline) runSerial(ctx context.Context) (*Result, error) {
-	res := &Result{Config: p.cfg, Farm: p.farm}
-
-	var db tripled.Conn
-	if p.cfg.StoreAddr != "" {
-		conn, err := DialStore(p.cfg.StoreAddr)
-		if err != nil {
-			return nil, fmt.Errorf("core: store %s: %w", p.cfg.StoreAddr, err)
-		}
-		db = conn
-		defer db.Close()
-	}
-
-	for m := 0; m < p.cfg.Radiation.Months; m++ {
-		md, err := p.IngestMonth(db, m)
-		if err != nil {
-			return nil, err
-		}
-		res.Study.Months = append(res.Study.Months, md)
-	}
-
-	for _, ts := range p.cfg.SnapshotTimes {
-		w, snap, err := p.IngestSnapshot(ctx, db, ts)
-		if err != nil {
-			return nil, err
-		}
-		res.Windows = append(res.Windows, w)
-		res.Study.Snapshots = append(res.Study.Snapshots, snap)
-	}
-	if h, ok := storeHealthOf(db); ok {
-		agg := &storeHealthAgg{}
-		agg.add(h)
-		res.StoreHealth = agg.result()
-	}
-	return res, nil
+	return p.runPool(ctx, workers)
 }
 
 // IngestMonth is one incremental unit of study growth: build (or
 // reuse) honeyfarm month m, optionally round-tripping the table
-// through the store, exactly as one iteration of the serial batch
-// loop. db may be nil for an in-memory study. Safe to call again for
-// an already-ingested month — the farm's copy is reused and
-// re-published idempotently (the recovery path relies on this). Not
-// safe for concurrent use; the daemon serializes ingest on one
-// goroutine, as runSerial does.
+// through the store, and attach a freshly built month to the farm.
+// db may be nil for an in-memory study. Safe to call again for an
+// already-ingested month — the farm's copy is reused and re-published
+// idempotently (the recovery path relies on this). Not safe for
+// concurrent use; the daemon serializes ingest on one goroutine.
 func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, error) {
+	md, built, err := p.buildMonth(db, m)
+	if built != nil {
+		p.farm.Attach(built)
+	}
+	return md, err
+}
+
+// buildMonth is the month unit every runner shares: build (or reuse)
+// honeyfarm month m and round-trip its table through db when db is
+// non-nil. It reads the farm but never mutates it; built is the
+// freshly built window (nil when the farm already held the month),
+// returned even when the store round trip fails, for the caller to
+// attach. Safe for concurrent use on distinct months.
+func (p *Pipeline) buildMonth(db tripled.Conn, m int) (md correlate.MonthData, built *honeyfarm.MonthWindow, err error) {
 	start := p.cfg.StudyStart.AddDate(0, m, 0)
 	label := start.Format("2006-01")
 	mw := p.farm.Month(label)
 	if mw == nil {
-		mw = p.farm.IngestMonth(label, start, p.pop.HoneyfarmMonth(m, start))
+		mw = p.farm.BuildMonth(label, start, p.pop.HoneyfarmMonth(m, start))
+		built = mw
 	}
 	table := mw.Table
 	if db != nil {
 		if err := mw.Publish(db); err != nil {
-			return correlate.MonthData{}, fmt.Errorf("core: publish month %s: %w", label, err)
+			return correlate.MonthData{}, built, fmt.Errorf("core: publish month %s: %w", label, err)
 		}
-		var err error
 		if table, err = honeyfarm.FetchMonthTable(db, label); err != nil {
-			return correlate.MonthData{}, fmt.Errorf("core: fetch month %s: %w", label, err)
+			return correlate.MonthData{}, built, fmt.Errorf("core: fetch month %s: %w", label, err)
 		}
 	}
-	return correlate.MonthData{Label: label, Month: m, Table: table}, nil
+	return correlate.MonthData{Label: label, Month: m, Table: table}, built, nil
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope
 // window at ts on the pipeline's telescope and reduce it to the D4M
-// source table, exactly as one iteration of the serial batch loop. db
-// may be nil for an in-memory study. Not safe for concurrent use (one
-// telescope runs one capture at a time).
+// source table. db may be nil for an in-memory study. Not safe for
+// concurrent use (one telescope runs one capture at a time).
 func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
+	return p.captureSnapshot(ctx, p.tel, db, ts)
+}
+
+// captureSnapshot is the snapshot unit every runner shares: capture the
+// window at ts on tel, reduce it to the D4M source table, and
+// round-trip the table through db when db is non-nil. Concurrent calls
+// need distinct telescopes and connections.
+func (p *Pipeline) captureSnapshot(ctx context.Context, tel *telescope.Telescope, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
 	monthFrac := p.cfg.monthOf(ts)
 	stream := p.pop.TelescopeStream(monthFrac, ts)
-	w, err := p.tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
+	w, err := tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
 	if err != nil {
 		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: %w", ts, err)
 	}
@@ -401,9 +365,9 @@ func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.
 			ts, w.NV, p.cfg.NV)
 	}
 	label := ts.Format("20060102-150405")
-	sources := p.tel.SourceTable(w)
+	sources := tel.SourceTable(w)
 	if db != nil {
-		if err := p.tel.PublishSourceTable(db, label, w); err != nil {
+		if err := tel.PublishSourceTable(db, label, w); err != nil {
 			return nil, correlate.Snapshot{}, fmt.Errorf("core: publish snapshot %s: %w", label, err)
 		}
 		if sources, err = telescope.FetchSourceTable(db, label); err != nil {

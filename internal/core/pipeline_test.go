@@ -347,9 +347,11 @@ func TestRunFailsWhenPopulationTooSmall(t *testing.T) {
 }
 
 // TestShardedStudyMatchesSerial asserts the engine-backed study is
-// worker-count invariant: on a fixed seed, the Workers=1 serial oracle
-// and a 4-shard run produce identical windows (NNZ, NRows, Table II
-// quantities) and identical D4M source tables.
+// worker-count invariant: on a fixed seed, one-shard (Workers=1) and
+// 4-shard captures produce identical windows (NNZ, NRows, Table II
+// quantities) and identical D4M source tables. The window build itself
+// is diffed against per-packet oracles in the engine and telescope
+// tests.
 func TestShardedStudyMatchesSerial(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Radiation.NumSources = 3000

@@ -1,11 +1,12 @@
 package core
 
-// scheduler.go is the study-level parallel scheduler: with
-// Config.StudyWorkers != 1 the honeyfarm months and telescope snapshots
-// — mutually independent, deterministic units of work — fan out across
-// the shared worker pool (internal/pool, also ridden by the report
-// graph's per-band model fits) instead of running strictly one after
-// another.
+// scheduler.go is the study runner: the honeyfarm months and telescope
+// snapshots — mutually independent, deterministic units of work — run
+// on the shared worker pool (internal/pool, also ridden by the report
+// graph's per-band model fits), Config.StudyWorkers at a time. The
+// units are the same buildMonth / captureSnapshot bodies behind the
+// exported IngestMonth / IngestSnapshot, so batch and incremental
+// studies share one implementation.
 //
 // The design rests on three ownership rules:
 //
@@ -24,8 +25,10 @@ package core
 //     own tripled client (the client is single-connection, not
 //     concurrency-safe).
 //   - Results land in index-addressed slots and are assembled in order,
-//     so the Result is byte-identical to the runSerial oracle — proven
-//     by TestParallelStudyMatchesSerialOracle across every emitter.
+//     so the Result is byte-identical at every worker count to the
+//     test-side oracle, a loop over IngestMonth then IngestSnapshot —
+//     proven by TestParallelStudyMatchesSerialOracle across every
+//     emitter.
 
 import (
 	"context"
@@ -38,13 +41,13 @@ import (
 	"repro/internal/tripled"
 )
 
-// runParallel executes the study with the given fan-out. workers is
-// always >= 2 here; RunContext routes 1 to runSerial. Job indices
+// runPool executes the study with the given fan-out; workers = 1 runs
+// every job in line on the caller's goroutine. Job indices
 // 0..nSnaps-1 are the snapshots and the rest the months, so the pool's
 // in-order hand-out schedules snapshot jobs first: windows dominate
 // the wall clock, and starting them first keeps the pool saturated
 // while the cheaper month builds fill the gaps.
-func (p *Pipeline) runParallel(ctx context.Context, workers int) (*Result, error) {
+func (p *Pipeline) runPool(ctx context.Context, workers int) (*Result, error) {
 	res := &Result{Config: p.cfg, Farm: p.farm}
 
 	nMonths := p.cfg.Radiation.Months
@@ -59,12 +62,15 @@ func (p *Pipeline) runParallel(ctx context.Context, workers int) (*Result, error
 		func() *studyWorker { return &studyWorker{p: p, health: health} },
 		(*studyWorker).close,
 		func(ctx context.Context, w *studyWorker, job int) error {
-			var err error
+			db, err := w.client()
+			if err != nil {
+				return err
+			}
 			if job < nSnaps {
-				windows[job], snapData[job], err = w.runSnapshot(ctx, job)
+				windows[job], snapData[job], err = p.captureSnapshot(ctx, w.telescope(), db, p.cfg.SnapshotTimes[job])
 			} else {
 				m := job - nSnaps
-				monthData[m], built[m], err = w.runMonth(m)
+				monthData[m], built[m], err = p.buildMonth(db, m)
 			}
 			return err
 		})
@@ -73,7 +79,7 @@ func (p *Pipeline) runParallel(ctx context.Context, workers int) (*Result, error
 	}
 
 	// Assemble by index: attach freshly built months in month order so
-	// the farm's ingestion order matches the serial path, then adopt the
+	// the farm's ingestion order matches paper order, then adopt the
 	// index-addressed slots.
 	for _, mw := range built {
 		if mw != nil {
@@ -124,81 +130,15 @@ func (w *studyWorker) client() (tripled.Conn, error) {
 	return w.db, nil
 }
 
-// runMonth builds (or reuses) one honeyfarm month and round-trips it
-// through the store when configured. It mirrors runSerial's month
-// iteration body exactly; the farm is only read, never mutated — the
-// built window is attached by the assembly phase.
-func (w *studyWorker) runMonth(m int) (correlate.MonthData, *honeyfarm.MonthWindow, error) {
-	p := w.p
-	start := p.cfg.StudyStart.AddDate(0, m, 0)
-	label := start.Format("2006-01")
-	var builtMW *honeyfarm.MonthWindow
-	mw := p.farm.Month(label)
-	if mw == nil {
-		mw = p.farm.BuildMonth(label, start, p.pop.HoneyfarmMonth(m, start))
-		builtMW = mw
-	}
-	table := mw.Table
-	db, err := w.client()
-	if err != nil {
-		return correlate.MonthData{}, nil, err
-	}
-	if db != nil {
-		if err := mw.Publish(db); err != nil {
-			return correlate.MonthData{}, nil, fmt.Errorf("core: publish month %s: %w", label, err)
-		}
-		if table, err = honeyfarm.FetchMonthTable(db, label); err != nil {
-			return correlate.MonthData{}, nil, fmt.Errorf("core: fetch month %s: %w", label, err)
-		}
-	}
-	return correlate.MonthData{Label: label, Month: m, Table: table}, builtMW, nil
-}
-
-// runSnapshot captures one telescope window on the worker's private
-// telescope and reduces it to the D4M source table, mirroring
-// runSerial's snapshot iteration body exactly.
-func (w *studyWorker) runSnapshot(ctx context.Context, si int) (*telescope.Window, correlate.Snapshot, error) {
-	p := w.p
+// telescope returns the worker's private telescope, created on first
+// use over the pipeline's shared CryptoPAN cache (see the ownership
+// rules above); its per-shard L1 memos stay worker-private.
+func (w *studyWorker) telescope() *telescope.Telescope {
 	if w.tel == nil {
-		// Private telescope (captures must not run concurrently on one),
-		// but the study's single CryptoPAN cache: the mapping is a pure
-		// function of the passphrase, so sharing is output-neutral, and
-		// it keeps one memo (and one complete Reverse() table) for the
-		// whole study instead of a cold cache per worker. Cached is
-		// concurrency-safe; the per-shard L1 memos stay worker-private.
+		p := w.p
 		w.tel = telescope.New(p.cfg.Radiation.Darkspace, p.cfg.AnonPassphrase,
 			telescope.WithLeafSize(p.cfg.LeafSize),
 			telescope.WithAnonymizer(p.tel.Anonymizer()))
 	}
-	ts := p.cfg.SnapshotTimes[si]
-	monthFrac := p.cfg.monthOf(ts)
-	stream := p.pop.TelescopeStream(monthFrac, ts)
-	win, err := w.tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
-	if err != nil {
-		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: %w", ts, err)
-	}
-	if win.NV < p.cfg.NV {
-		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: stream exhausted at %d of %d packets (population too small for NV)",
-			ts, win.NV, p.cfg.NV)
-	}
-	label := ts.Format("20060102-150405")
-	sources := w.tel.SourceTable(win)
-	db, err := w.client()
-	if err != nil {
-		return nil, correlate.Snapshot{}, err
-	}
-	if db != nil {
-		if err := w.tel.PublishSourceTable(db, label, win); err != nil {
-			return nil, correlate.Snapshot{}, fmt.Errorf("core: publish snapshot %s: %w", label, err)
-		}
-		if sources, err = telescope.FetchSourceTable(db, label); err != nil {
-			return nil, correlate.Snapshot{}, fmt.Errorf("core: fetch snapshot %s: %w", label, err)
-		}
-	}
-	return win, correlate.Snapshot{
-		Label:   label,
-		Month:   monthFrac,
-		NV:      p.cfg.NV,
-		Sources: sources,
-	}, nil
+	return w.tel
 }

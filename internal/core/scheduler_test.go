@@ -1,14 +1,16 @@
 package core
 
-// scheduler_test.go proves the study-level scheduler is a pure
-// performance transform: for any StudyWorkers, every emitted artifact —
-// Table I, Table II, Figures 3 through 8 — is byte-identical to the
-// StudyWorkers=1 serial oracle, in memory and through the tripled
-// store. Run under -race this is also the scheduler's concurrency
-// soundness proof. TestStudySpeedup is the wall-clock gate, skipped
-// with an annotation on runners without enough CPUs to measure it.
+// scheduler_test.go proves the study runner is a pure performance
+// transform: for any StudyWorkers, every emitted artifact — Table I,
+// Table II, Figures 3 through 8 — is byte-identical to unitOracle, a
+// serial loop over the exported IngestMonth / IngestSnapshot units, in
+// memory and through the tripled store. Run under -race this is also
+// the runner's concurrency soundness proof. TestStudySpeedup is the
+// wall-clock gate, skipped with an annotation on runners without
+// enough CPUs to measure it.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -79,6 +81,56 @@ func runStudy(t *testing.T, cfg Config) *Result {
 	return r
 }
 
+// unitOracle is the study oracle: the fresh pipeline p driven through
+// the exported units in paper order — every month, then every
+// snapshot — on the caller's goroutine, the loop the resident daemon
+// runs one call at a time.
+func unitOracle(t *testing.T, p *Pipeline) *Result {
+	t.Helper()
+	cfg := p.Config()
+	res := &Result{Config: cfg, Farm: p.farm}
+	var db tripled.Conn
+	if cfg.StoreAddr != "" {
+		conn, err := DialStore(cfg.StoreAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		db = conn
+	}
+	for m := 0; m < cfg.Radiation.Months; m++ {
+		md, err := p.IngestMonth(db, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Study.Months = append(res.Study.Months, md)
+	}
+	for _, ts := range cfg.SnapshotTimes {
+		w, snap, err := p.IngestSnapshot(context.Background(), db, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Windows = append(res.Windows, w)
+		res.Study.Snapshots = append(res.Study.Snapshots, snap)
+	}
+	if h, ok := storeHealthOf(db); ok {
+		agg := &storeHealthAgg{}
+		agg.add(h)
+		res.StoreHealth = agg.result()
+	}
+	return res
+}
+
+// runOracle runs unitOracle on a fresh pipeline for cfg.
+func runOracle(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return unitOracle(t, p)
+}
+
 // diffRender fails with the first differing line instead of dumping two
 // multi-kilobyte artifacts blobs.
 func diffRender(t *testing.T, name, serial, parallel string) {
@@ -99,43 +151,48 @@ func diffRender(t *testing.T, name, serial, parallel string) {
 	t.Fatalf("%s: parallel render has %d extra lines", name, len(pl)-len(sl))
 }
 
-// TestParallelStudyMatchesSerialOracle is satellite coverage for the
-// scheduler's contract: StudyWorkers=4 reproduces the StudyWorkers=1
-// oracle exactly, across every Table and Figure emitter.
+// TestParallelStudyMatchesSerialOracle is the runner's contract:
+// Run at StudyWorkers=1 (the pool in line on the caller's goroutine)
+// and at 4 reproduces the unit-loop oracle exactly, across every Table
+// and Figure emitter.
 func TestParallelStudyMatchesSerialOracle(t *testing.T) {
 	cfg := schedulerConfig()
-	cfg.StudyWorkers = 1
-	serial := renderAll(t, runStudy(t, cfg))
-	cfg.StudyWorkers = 4
-	parallel := renderAll(t, runStudy(t, cfg))
-	diffRender(t, "in-memory", serial, parallel)
+	want := renderAll(t, runOracle(t, cfg))
+	for _, workers := range []int{1, 4} {
+		cfg.StudyWorkers = workers
+		diffRender(t, fmt.Sprintf("in-memory workers=%d", workers), want, renderAll(t, runStudy(t, cfg)))
+	}
 }
 
 // TestParallelStoreBackedStudyMatchesSerial runs the same oracle diff
 // with every table round-tripping through a tripled store: the
-// scheduler's per-worker clients must publish and fetch exactly what
-// the serial path's single client does.
+// runner's per-worker clients must publish and fetch exactly what the
+// unit loop's single client does.
 func TestParallelStoreBackedStudyMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two store-backed studies")
+		t.Skip("three store-backed studies")
 	}
-	run := func(studyWorkers int) string {
+	run := func(study func(*testing.T, Config) *Result, studyWorkers int) string {
 		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		cfg := schedulerConfig()
-		cfg.StudyWorkers = studyWorkers
 		cfg.StoreAddr = srv.Addr()
-		return renderAll(t, runStudy(t, cfg))
+		cfg.StudyWorkers = studyWorkers
+		return renderAll(t, study(t, cfg))
 	}
-	diffRender(t, "store-backed", run(1), run(4))
+	want := run(runOracle, 1)
+	for _, workers := range []int{1, 4} {
+		diffRender(t, fmt.Sprintf("store-backed workers=%d", workers), want, run(runStudy, workers))
+	}
 }
 
 // TestParallelStudyWorkerSweep pins worker-count invariance beyond the
-// single 1-vs-4 pair: 2, 3, and 8 workers (more workers than jobs in
-// the snapshot phase, odd counts, and a 2-worker minimum) all match.
+// 1 and 4 of TestParallelStudyMatchesSerialOracle: 2, 3, and 8 workers
+// (more workers than jobs in the snapshot phase, odd counts, and a
+// 2-worker minimum) all match the unit-loop oracle.
 func TestParallelStudyWorkerSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full studies")
@@ -143,22 +200,21 @@ func TestParallelStudyWorkerSweep(t *testing.T) {
 	cfg := schedulerConfig()
 	cfg.Radiation.NumSources = 2000
 	cfg.NV = 1 << 11
-	cfg.StudyWorkers = 1
-	want := renderAll(t, runStudy(t, cfg))
+	want := renderAll(t, runOracle(t, cfg))
 	for _, workers := range []int{2, 3, 8} {
 		cfg.StudyWorkers = workers
 		diffRender(t, fmt.Sprintf("workers=%d", workers), want, renderAll(t, runStudy(t, cfg)))
 	}
 }
 
-// TestParallelStudySharesAnonCache pins the scheduler's shared
-// CryptoPAN cache: every per-worker Telescope rides the pipeline's one
-// Cached, so after a parallel run the pipeline cache holds the study's
-// full mapping (same unique-address count the serial oracle memoizes)
-// instead of leaving it cold while N private per-worker memos each
-// re-derive overlapping mappings.
+// TestParallelStudySharesAnonCache pins the runner's shared CryptoPAN
+// cache: every per-worker Telescope rides the pipeline's one Cached, so
+// after a run the pipeline cache holds the study's full mapping (the
+// unique-address count the unit-loop oracle memoizes on the pipeline's
+// own telescope) instead of leaving it cold while private per-worker
+// memos each re-derive overlapping mappings.
 func TestParallelStudySharesAnonCache(t *testing.T) {
-	lenAfter := func(studyWorkers int) int {
+	fresh := func(studyWorkers int) *Pipeline {
 		cfg := schedulerConfig()
 		cfg.Radiation.NumSources = 2000
 		cfg.NV = 1 << 11
@@ -167,23 +223,28 @@ func TestParallelStudySharesAnonCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return p
+	}
+	oracle := fresh(1)
+	unitOracle(t, oracle)
+	want := oracle.tel.Anonymizer().Len()
+	if want == 0 {
+		t.Fatal("unit-loop oracle left the pipeline anonymizer cache empty")
+	}
+	for _, workers := range []int{1, 4} {
+		p := fresh(workers)
 		if _, err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return p.tel.Anonymizer().Len()
-	}
-	serial := lenAfter(1)
-	if serial == 0 {
-		t.Fatal("serial run left the pipeline anonymizer cache empty")
-	}
-	if parallel := lenAfter(4); parallel != serial {
-		t.Errorf("pipeline cache holds %d addresses after parallel run, want %d (serial oracle) — workers are not sharing the cache", parallel, serial)
+		if got := p.tel.Anonymizer().Len(); got != want {
+			t.Errorf("workers=%d: pipeline cache holds %d addresses after the run, want %d (oracle) — workers are not sharing the cache", workers, got, want)
+		}
 	}
 }
 
 // TestStudySpeedup is the acceptance gate: at >= 4 study workers the
-// parallel scheduler must finish the whole study at least 2x faster
-// than the serial oracle, with byte-identical artifacts. On runners
+// runner must finish the whole study at least 2x faster than at one
+// worker, with byte-identical artifacts. On runners
 // without at least 4 CPUs the wall-clock assertion is meaningless (the
 // fan-out just interleaves on one core), so the gate self-skips with an
 // annotation — the same policy the hot-path benchmark report applies

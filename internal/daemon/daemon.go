@@ -7,11 +7,11 @@
 // every batch CLI uses.
 //
 // The design is the control-room shape: one mutator, many cheap
-// readers. All ingest is serialized on one goroutine-at-a-time mutex
-// (the same contract as the serial batch loop, whose IngestMonth /
-// IngestSnapshot units the daemon calls verbatim — parity with a
+// readers. All ingest is serialized on one goroutine-at-a-time mutex,
+// and each ingest is one call to IngestMonth / IngestSnapshot — the
+// same unit bodies the batch study runner schedules, so parity with a
 // from-scratch batch run is by construction, and proven byte-for-byte
-// in the tests). After each ingest the daemon asks the report graph to
+// in the tests. After each ingest the daemon asks the report graph to
 // invalidate exactly the artifacts that transitively depend on the
 // touched source (report.SrcMonths or report.SrcSnapshots), re-renders
 // only those, reuses the untouched artifacts' bytes, and publishes the

@@ -8,15 +8,17 @@
 // The engine is the parallel counterpart of the paper's construction:
 // NV = 2^17-packet leaves are built independently and hierarchically
 // summed into a 2^30-packet window. Because matrix addition is
-// commutative and associative, the sharded build produces exactly the
-// same matrix as the serial build — only the leaf boundaries differ —
-// which is what makes Workers=1 a usable correctness oracle for any
-// worker count.
+// commutative and associative, every worker count produces exactly the
+// same matrix as a per-packet loop over the same stream — only the leaf
+// boundaries differ. There is one build: Workers=1 is the one-shard
+// case of it, and the tests diff every worker count against a
+// per-packet oracle (filter → mapper → hypersparse.Accumulator) kept in
+// the test files.
 //
 // # Filter timestamp-parity rule
 //
 // The validity filter runs inside the shard workers, not on the reader
-// goroutine, yet filtered windows are byte-identical to the serial
+// goroutine, yet filtered windows are byte-identical to the per-packet
 // oracle. Two rules make that hold:
 //
 //  1. Slab cap: every slab read is capped at the number of accepted
@@ -29,7 +31,7 @@
 //     a per-slab barrier and report per-chunk accept counts and
 //     first/last accepted timestamps; the reader merges those in chunk
 //     (= stream) order, so Start/End/NV/Dropped are computed in exactly
-//     the order the serial loop would have seen the packets.
+//     the order a per-packet loop would have seen the packets.
 //
 // The reader overlaps I/O with the barrier: while workers chew slab k
 // it speculatively reads up to nv - NV - len(slab k) further packets —
@@ -51,8 +53,7 @@ import (
 )
 
 // PacketSource yields packets in time order; Next returns false when the
-// stream is exhausted. It is structurally identical to the telescope's
-// PacketSource, so any source usable there plugs in here.
+// stream is exhausted. The telescope's PacketSource is this type.
 type PacketSource interface {
 	Next(*pcap.Packet) bool
 }
@@ -83,10 +84,10 @@ type BatchSource interface {
 }
 
 // batchAdapter lifts a per-packet source to the BatchSource contract by
-// repeated Next calls, so the capture paths carry exactly one reader
-// loop each (the slab loop) instead of a slab/per-packet pair that must
-// be kept in sync. The slab-size cap in the capture loops makes this
-// consume exactly the packets a per-packet loop would (see BatchSource).
+// repeated Next calls, so the capture carries exactly one reader loop
+// (the slab loop) instead of a slab/per-packet pair that must be kept
+// in sync. The slab-size cap in the capture loop makes this consume
+// exactly the packets a per-packet loop would (see BatchSource).
 type batchAdapter struct{ src PacketSource }
 
 func (a batchAdapter) NextBatch(dst []pcap.Packet) int {
@@ -98,9 +99,9 @@ func (a batchAdapter) NextBatch(dst []pcap.Packet) int {
 }
 
 // Filter reports whether a packet belongs in the window (the telescope's
-// validity filter). It is compiled/constructed once per engine and, with
-// Workers > 1, evaluated concurrently on the shard workers — it must be
-// safe for concurrent use (pcap.Filter's compiled closures are).
+// validity filter). It is compiled/constructed once per engine and
+// evaluated on the shard workers, concurrently when Workers > 1 — it
+// must be safe for concurrent use (pcap.Filter's compiled closures are).
 type Filter func(*pcap.Packet) bool
 
 // Pair is one accepted packet reduced to its matrix coordinates.
@@ -108,15 +109,10 @@ type Pair struct {
 	Row, Col uint32
 }
 
-// Mapper converts an accepted packet to matrix coordinates; CryptoPAN
-// anonymization lives here. With Workers > 1 it runs concurrently on the
-// shard workers and must be safe for concurrent use.
-type Mapper func(*pcap.Packet) Pair
-
-// MapperFactory builds one Mapper per shard worker for each capture.
-// Each returned Mapper is only ever called from its own worker
+// SlabMapperFactory builds one SlabMapper per shard worker for each
+// capture. Each returned mapper is only ever called from its own worker
 // goroutine, so it may keep unsynchronized per-worker state (the
-// telescope hangs a lock-free L1 anonymization memo here). Every Mapper
+// telescope hangs a lock-free L1 anonymization memo here). Every mapper
 // produced by one factory must compute the same function.
 type SlabMapperFactory func(shard int) SlabMapper
 
@@ -124,22 +120,14 @@ type SlabMapperFactory func(shard int) SlabMapper
 // dst[i] must receive pkts[i]'s pair, for all i (len(dst) >= len(pkts)).
 // Slab granularity lets the mapper batch its own internals — the
 // telescope anonymizes a whole slab of addresses through one batched
-// CryptoPAN call instead of two scalar calls per packet. Like Mapper, a
-// SlabMapper from one factory shard is only ever called from its own
-// worker goroutine and may keep unsynchronized per-worker state, and
-// every mapper from one factory must compute the same per-packet
-// function.
+// CryptoPAN call instead of two scalar calls per packet. Each shard
+// worker calls only its own mapper (see SlabMapperFactory).
 type SlabMapper func(pkts []pcap.Packet, dst []Pair)
-
-// MapperFactory builds one Mapper per shard worker for each capture —
-// the per-packet counterpart of SlabMapperFactory, lifted by
-// NewPerWorker.
-type MapperFactory func(shard int) Mapper
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the shard-worker count: 1 runs the serial degenerate
-	// path (the correctness oracle), <= 0 uses GOMAXPROCS.
+	// Workers is the shard-worker count; <= 0 uses GOMAXPROCS. Every
+	// count, 1 included, runs the same sharded build.
 	Workers int
 	// LeafSize is the number of entries per leaf matrix (the paper's
 	// leaf NV is 2^17).
@@ -149,10 +137,6 @@ type Config struct {
 	// at most Batch packets; 0 defaults to LeafSize so one chunk can
 	// fill one leaf.
 	Batch int
-	// Queue is retained for configuration compatibility. The slab
-	// barrier replaced the in-flight batch queue (at most one slab of
-	// chunks is ever outstanding), so the value is no longer read.
-	Queue int
 }
 
 // normalized resolves defaults into concrete values.
@@ -162,9 +146,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Batch <= 0 {
 		c.Batch = c.LeafSize
-	}
-	if c.Queue <= 0 {
-		c.Queue = 2 * c.Workers
 	}
 	return c
 }
@@ -177,43 +158,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Engine is a configured, reusable window builder. Construct with New,
-// NewPerWorker, or NewPerWorkerSlab.
+// Engine is a configured, reusable window builder. Construct with
+// NewPerWorkerSlab.
 type Engine struct {
 	cfg      Config
 	filter   Filter
 	factory  SlabMapperFactory
-	pool     sync.Pool // serial-path slab buffers (Batch packets)
-	slabPool sync.Pool // sharded-path double buffers (Batch x Workers packets)
+	slabPool sync.Pool // reader double buffers (Batch x Workers packets)
 	pairPool sync.Pool // per-worker coordinate slabs (Batch pairs)
-	accPool  sync.Pool // shard accumulators, retained across windows
-}
-
-// New builds an Engine from a validity filter and a coordinate mapper.
-// A nil filter accepts every packet.
-func New(cfg Config, filter Filter, mapper Mapper) (*Engine, error) {
-	if mapper == nil {
-		return nil, fmt.Errorf("engine: mapper required")
-	}
-	return NewPerWorker(cfg, filter, func(int) Mapper { return mapper })
-}
-
-// NewPerWorker builds an Engine whose shard workers each get their own
-// Mapper from factory at the start of every capture; use it when the
-// mapper benefits from per-worker state. A nil filter accepts every
-// packet.
-func NewPerWorker(cfg Config, filter Filter, factory MapperFactory) (*Engine, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("engine: mapper factory required")
-	}
-	return NewPerWorkerSlab(cfg, filter, func(shard int) SlabMapper {
-		m := factory(shard)
-		return func(pkts []pcap.Packet, dst []Pair) {
-			for i := range pkts {
-				dst[i] = m(&pkts[i])
-			}
-		}
-	})
+	// accPool holds shard accumulators across windows. They return to
+	// the pool already reset (Finish and Discard reset) but keep their
+	// builder buffers, so repeated windows allocate nothing for leaf
+	// assembly.
+	accPool sync.Pool
 }
 
 // NewPerWorkerSlab builds an Engine whose shard workers map whole
@@ -232,12 +189,8 @@ func NewPerWorkerSlab(cfg Config, filter Filter, factory SlabMapperFactory) (*En
 	}
 	cfg = cfg.normalized()
 	e := &Engine{cfg: cfg, filter: filter, factory: factory}
-	e.pool.New = func() interface{} {
-		s := make([]pcap.Packet, 0, cfg.Batch)
-		return &s
-	}
 	e.slabPool.New = func() interface{} {
-		s := make([]pcap.Packet, 0, cfg.Batch*cfg.Workers)
+		s := make([]pcap.Packet, cfg.Batch*cfg.Workers)
 		return &s
 	}
 	e.pairPool.New = func() interface{} {
@@ -250,9 +203,6 @@ func NewPerWorkerSlab(cfg Config, filter Filter, factory SlabMapperFactory) (*En
 	return e, nil
 }
 
-// Config returns the normalized configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Window is one constant-packet capture: the merged matrix plus the
 // stream accounting the telescope records in Table I.
 type Window struct {
@@ -260,12 +210,16 @@ type Window struct {
 	NV         int // valid packets in the matrix
 	Dropped    int // packets rejected by the filter
 	Leaves     int // leaf matrices cut across all shards
-	Shards     int // shard workers that contributed leaves
+	// Shards counts the shard workers that contributed leaves. A worker
+	// that accepted no packet contributes none, so an empty window
+	// (NV == 0) reports Shards == 0 and Leaves == 0 at every worker
+	// count, Workers=1 included.
+	Shards int
 	// ShardDrops is the filter's per-shard drop accounting (index =
-	// shard worker). The distribution across shards depends on which
-	// worker filtered which chunk, but the sum always equals Dropped —
-	// and Dropped itself is identical to the serial oracle's count. The
-	// serial path reports one shard.
+	// shard worker), one entry per configured worker. The distribution
+	// across shards depends on which worker filtered which chunk, but
+	// the sum always equals Dropped — and Dropped itself is identical to
+	// a per-packet loop's count.
 	ShardDrops []int
 	Matrix     *hypersparse.Matrix
 }
@@ -285,13 +239,7 @@ func (e *Engine) CaptureWindow(ctx context.Context, src PacketSource, nv int) (*
 	if !ok {
 		bs = batchAdapter{src: src}
 	}
-	var w *Window
-	var err error
-	if e.cfg.Workers == 1 {
-		w, err = e.captureSerial(ctx, bs, nv)
-	} else {
-		w, err = e.captureSharded(ctx, bs, nv)
-	}
+	w, err := e.captureSharded(ctx, bs, nv)
 	if err != nil {
 		return nil, err
 	}
@@ -300,79 +248,6 @@ func (e *Engine) CaptureWindow(ctx context.Context, src PacketSource, nv int) (*
 			return nil, serr
 		}
 	}
-	return w, nil
-}
-
-// ctxPollInterval bounds how many packets are read between context
-// polls on the serial path, so an abandoned capture stops promptly even
-// when the filter rejects everything. The sharded path polls once per
-// slab, which bounds the same latency at one slab's work.
-const ctxPollInterval = 4096
-
-// captureSerial is the Workers=1 degenerate path: one goroutine
-// interleaves filtering, mapping, and leaf assembly, exactly mirroring
-// the pre-engine telescope build. It is kept as the correctness oracle
-// the sharded path is diffed against. Filtering compacts each slab's
-// accepted packets in place so the slab mapper sees one contiguous run,
-// same as on the shard workers.
-func (e *Engine) captureSerial(ctx context.Context, src BatchSource, nv int) (*Window, error) {
-	acc := e.getAcc()
-	defer e.accPool.Put(acc)
-	mapper := e.factory(0)
-	pairsBuf := e.getPairs()
-	defer e.putPairs(pairsBuf)
-	pairs := *pairsBuf
-	w := &Window{Shards: 1}
-	raw := e.getBatch()
-	defer e.putBatch(raw)
-	slab := (*raw)[:cap(*raw)]
-	read := 0
-	for w.NV < nv {
-		want := nv - w.NV
-		if want > len(slab) {
-			want = len(slab)
-		}
-		n := src.NextBatch(slab[:want])
-		if n == 0 {
-			break
-		}
-		if read += n; read >= ctxPollInterval {
-			read = 0
-			if ctx.Err() != nil {
-				acc.Discard() // O(1) reset before returning to the pool; no merge
-				return nil, ctx.Err()
-			}
-		}
-		kept := 0
-		for i := range slab[:n] {
-			pkt := &slab[i]
-			if !e.filter(pkt) {
-				w.Dropped++
-				continue
-			}
-			if w.NV+kept == 0 {
-				w.Start = pkt.Time
-			}
-			w.End = pkt.Time
-			if kept != i {
-				slab[kept] = *pkt
-			}
-			kept++
-		}
-		if kept > 0 {
-			mapper(slab[:kept], pairs[:kept])
-			for _, p := range pairs[:kept] {
-				acc.Add(p.Row, p.Col, 1)
-			}
-			w.NV += kept
-		}
-	}
-	w.Leaves = acc.Leaves()
-	if w.NV%e.cfg.LeafSize != 0 {
-		w.Leaves++ // partial tail leaf
-	}
-	w.ShardDrops = []int{w.Dropped}
-	w.Matrix = acc.Finish()
 	return w, nil
 }
 
@@ -401,7 +276,7 @@ type shardResult struct {
 	drops  int
 }
 
-// captureSharded is the parallel path: the caller's goroutine reads raw
+// captureSharded is the window build: the caller's goroutine reads raw
 // slabs and splits each into Workers chunks behind a per-slab barrier;
 // the shard workers filter, map, and accumulate their chunks in
 // parallel (per-shard drop counters, merged after the capture), while
@@ -427,22 +302,15 @@ func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*
 	}
 
 	w := &Window{}
-	curBuf, nextBuf := e.getSlab(), e.getSlab()
-	defer e.putSlab(curBuf)
-	defer e.putSlab(nextBuf)
-	cur, next := (*curBuf)[:cap(*curBuf)], (*nextBuf)[:cap(*nextBuf)]
+	curBuf, nextBuf := e.slabPool.Get().(*[]pcap.Packet), e.slabPool.Get().(*[]pcap.Packet)
+	defer e.slabPool.Put(curBuf)
+	defer e.slabPool.Put(nextBuf)
+	cur, next := *curBuf, *nextBuf
 	chunks := make([]chunkResult, workers)
 	var barrier sync.WaitGroup
 	var readErr error
 
-	curN := 0
-	{
-		want := nv
-		if want > len(cur) {
-			want = len(cur)
-		}
-		curN = src.NextBatch(cur[:want])
-	}
+	curN := src.NextBatch(cur[:min(nv, len(cur))])
 	for curN > 0 {
 		if err := ctx.Err(); err != nil {
 			readErr = err
@@ -468,10 +336,7 @@ func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*
 		// nv - NV - curN more packets, so reading that many can never
 		// overrun the oracle's consumed prefix. spec > 0 only when the
 		// window cannot complete on the in-flight slab.
-		spec := nv - w.NV - curN
-		if spec > len(next) {
-			spec = len(next)
-		}
+		spec := min(nv-w.NV-curN, len(next))
 		nextN := 0
 		specDone := spec > 0
 		if specDone {
@@ -502,11 +367,7 @@ func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*
 		}
 		// No speculation was possible (the slab could have completed the
 		// window but didn't): read synchronously with the exact cap.
-		want := nv - w.NV
-		if want > len(cur) {
-			want = len(cur)
-		}
-		curN = src.NextBatch(cur[:want])
+		curN = src.NextBatch(cur[:min(nv-w.NV, len(cur))])
 	}
 	for i := range tasks {
 		close(tasks[i])
@@ -547,10 +408,10 @@ func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*
 // cancellation it stops doing work but keeps releasing barriers so the
 // reader never deadlocks.
 func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkTask, results chan<- shardResult) {
-	acc := e.getAcc()
+	acc := e.accPool.Get().(*hypersparse.Accumulator)
 	defer e.accPool.Put(acc)
 	mapper := e.factory(shard)
-	pairsBuf := e.getPairs()
+	pairsBuf := e.pairPool.Get().(*[]Pair)
 	pairs := *pairsBuf
 	drops := 0
 	ingested := 0
@@ -586,8 +447,7 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 		}
 		t.wg.Done()
 	}
-	*pairsBuf = pairs
-	e.putPairs(pairsBuf)
+	e.pairPool.Put(pairsBuf)
 	if ctx.Err() != nil {
 		// The capture is abandoned and the result will be drained unread:
 		// skip the merge entirely.
@@ -600,39 +460,4 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 		leaves++ // partial tail leaf
 	}
 	results <- shardResult{shard: shard, matrix: acc.Finish(), leaves: leaves, drops: drops}
-}
-
-// getAcc takes a pooled shard accumulator; accumulators return to the
-// pool already reset (Finish resets), retaining their builder buffers
-// so repeated windows allocate nothing for leaf assembly.
-func (e *Engine) getAcc() *hypersparse.Accumulator {
-	return e.accPool.Get().(*hypersparse.Accumulator)
-}
-
-func (e *Engine) getBatch() *[]pcap.Packet {
-	b := e.pool.Get().(*[]pcap.Packet)
-	*b = (*b)[:0]
-	return b
-}
-
-func (e *Engine) putBatch(b *[]pcap.Packet) {
-	e.pool.Put(b)
-}
-
-func (e *Engine) getSlab() *[]pcap.Packet {
-	b := e.slabPool.Get().(*[]pcap.Packet)
-	*b = (*b)[:0]
-	return b
-}
-
-func (e *Engine) putSlab(b *[]pcap.Packet) {
-	e.slabPool.Put(b)
-}
-
-func (e *Engine) getPairs() *[]Pair {
-	return e.pairPool.Get().(*[]Pair)
-}
-
-func (e *Engine) putPairs(b *[]Pair) {
-	e.pairPool.Put(b)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -30,17 +31,16 @@ func testStream(t testing.TB, seed int64) (*radiation.Stream, ipaddr.Prefix) {
 	return pop.TelescopeStream(3, time.Unix(0, 0)), cfg.Darkspace
 }
 
+// darkFilter is the darkspace validity filter the engine tests share.
+func darkFilter(dark ipaddr.Prefix) Filter {
+	return func(p *pcap.Packet) bool { return dark.Contains(p.Dst) && !ipaddr.IsPrivate(p.Src) }
+}
+
 // testEngine builds an engine with a darkspace validity filter and an
 // identity coordinate mapper.
 func testEngine(t testing.TB, cfg Config, dark ipaddr.Prefix) *Engine {
 	t.Helper()
-	e, err := New(cfg,
-		func(p *pcap.Packet) bool { return dark.Contains(p.Dst) && !ipaddr.IsPrivate(p.Src) },
-		func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return newEngine(t, cfg, darkFilter(dark), identityPair)
 }
 
 func entries(m *hypersparse.Matrix) []hypersparse.Entry {
@@ -56,70 +56,49 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{LeafSize: 0}).Validate(); err == nil {
 		t.Error("LeafSize=0 accepted")
 	}
-	if _, err := New(Config{LeafSize: 8}, nil, nil); err == nil {
-		t.Error("nil mapper accepted")
+	if _, err := NewPerWorkerSlab(Config{LeafSize: 8}, nil, nil); err == nil {
+		t.Error("nil mapper factory accepted")
 	}
-	e, err := New(Config{LeafSize: 8}, nil, func(*pcap.Packet) Pair { return Pair{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := e.Config()
-	if c.Workers < 1 || c.Batch != 8 || c.Queue != 2*c.Workers {
+	c := newEngine(t, Config{LeafSize: 8}, nil, identityPair).cfg
+	if c.Workers < 1 || c.Batch != 8 {
 		t.Errorf("defaults not normalized: %+v", c)
 	}
 }
 
 // TestShardedMatchesSerial is the engine's core invariant: for a fixed
-// seed, every worker count produces the exact same window — same NV and
-// drop accounting, same matrix entries, same netquant Table II
-// quantities — because the matrix is a commutative sum of the same
+// seed, every worker count produces the per-packet oracle's window —
+// same NV and drop accounting, same matrix entries, same netquant Table
+// II quantities — because the matrix is a commutative sum of the same
 // triples regardless of how leaves are sharded. Run under -race this is
 // also the concurrency soundness test.
 func TestShardedMatchesSerial(t *testing.T) {
 	const nv = 1 << 13
-	capture := func(workers int) *Window {
+	const leafSize = 1 << 9
+	st, dark := testStream(t, 7)
+	oracle := captureOracle(st, darkFilter(dark), identityPair, leafSize, nv)
+	if oracle.NV != nv {
+		t.Fatalf("oracle NV = %d, want %d", oracle.NV, nv)
+	}
+	wantQ := netquant.Compute(oracle.Matrix)
+	for _, workers := range []int{1, 2, 4, 8} {
 		st, dark := testStream(t, 7)
-		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 9, Batch: 128, Queue: 4}, dark)
+		e := testEngine(t, Config{Workers: workers, LeafSize: leafSize, Batch: 128}, dark)
 		w, err := e.CaptureWindow(context.Background(), st, nv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w
-	}
-	serial := capture(1)
-	if serial.NV != nv {
-		t.Fatalf("serial NV = %d, want %d", serial.NV, nv)
-	}
-	want := entries(serial.Matrix)
-	wantQ := netquant.Compute(serial.Matrix)
-	for _, workers := range []int{2, 4, 8} {
-		sharded := capture(workers)
-		if sharded.NV != serial.NV || sharded.Dropped != serial.Dropped {
-			t.Fatalf("workers=%d: NV/Dropped %d/%d, want %d/%d",
-				workers, sharded.NV, sharded.Dropped, serial.NV, serial.Dropped)
+		label := fmt.Sprintf("workers=%d", workers)
+		diffWindow(t, label, w, oracle)
+		if w.Matrix.NRows() != oracle.Matrix.NRows() {
+			t.Fatalf("%s: NRows %d, want %d", label, w.Matrix.NRows(), oracle.Matrix.NRows())
 		}
-		if !sharded.Start.Equal(serial.Start) || !sharded.End.Equal(serial.End) {
-			t.Errorf("workers=%d: window span differs", workers)
-		}
-		if sharded.Matrix.NNZ() != serial.Matrix.NNZ() {
-			t.Fatalf("workers=%d: NNZ %d, want %d", workers, sharded.Matrix.NNZ(), serial.Matrix.NNZ())
-		}
-		if sharded.Matrix.NRows() != serial.Matrix.NRows() {
-			t.Fatalf("workers=%d: NRows %d, want %d", workers, sharded.Matrix.NRows(), serial.Matrix.NRows())
-		}
-		if q := netquant.Compute(sharded.Matrix); q != wantQ {
-			t.Fatalf("workers=%d: Table II quantities differ:\n got %+v\nwant %+v", workers, q, wantQ)
-		}
-		got := entries(sharded.Matrix)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: entry %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
+		if q := netquant.Compute(w.Matrix); q != wantQ {
+			t.Fatalf("%s: Table II quantities differ:\n got %+v\nwant %+v", label, q, wantQ)
 		}
 	}
 }
 
-// TestShardedLeafAccounting checks the leaf count matches the serial
+// TestShardedLeafAccounting checks the leaf count matches a one-shard
 // build's total (partial tail leaves per shard can add at most
 // Workers-1 extra cuts, never lose one).
 func TestShardedLeafAccounting(t *testing.T) {
@@ -144,7 +123,7 @@ func TestShardedLeafAccounting(t *testing.T) {
 }
 
 // TestShortStream: a stream smaller than NV ends the window early
-// without error, mirroring the serial capture contract.
+// without error, mirroring the per-packet capture contract.
 func TestShortStream(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		st, dark := testStream(t, 3)
@@ -179,11 +158,7 @@ func (s *infiniteSource) Next(p *pcap.Packet) bool {
 
 func TestContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e, err := New(Config{Workers: workers, LeafSize: 256, Queue: 2}, nil,
-			func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, Config{Workers: workers, LeafSize: 256}, nil, identityPair)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		done := make(chan error, 1)
 		go func() {
@@ -207,12 +182,7 @@ func TestContextCancellation(t *testing.T) {
 // send-side poll never runs.
 func TestCancellationAllRejected(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e, err := New(Config{Workers: workers, LeafSize: 256},
-			func(*pcap.Packet) bool { return false },
-			func(p *pcap.Packet) Pair { return Pair{} })
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, Config{Workers: workers, LeafSize: 256}, rejectAll, identityPair)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		done := make(chan error, 1)
 		go func() {
@@ -251,25 +221,20 @@ func (s *errSource) Err() error { return s.err }
 
 func TestSourceErrorPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e, err := New(Config{Workers: workers, LeafSize: 64}, nil,
-			func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = e.CaptureWindow(context.Background(), &errSource{n: 100}, 1<<20)
+		e := newEngine(t, Config{Workers: workers, LeafSize: 64}, nil, identityPair)
+		_, err := e.CaptureWindow(context.Background(), &errSource{n: 100}, 1<<20)
 		if err == nil || err.Error() != "truncated capture" {
 			t.Errorf("workers=%d: err = %v, want truncated capture", workers, err)
 		}
 	}
 }
 
-// TestBackpressureTinyQueue pins Config.Queue compatibility: the field
-// is vestigial (the per-slab barrier bounds in-flight memory at two
-// slabs, so there is no queue to size), but configs that set it must
-// keep completing captures that conserve NV.
-func TestBackpressureTinyQueue(t *testing.T) {
+// TestTinyBatchConservesNV runs many small slabs through an odd worker
+// count: 3 workers with 32-packet chunks must still complete the window
+// and conserve NV through the merge.
+func TestTinyBatchConservesNV(t *testing.T) {
 	st, dark := testStream(t, 5)
-	e := testEngine(t, Config{Workers: 3, LeafSize: 128, Batch: 32, Queue: 1}, dark)
+	e := testEngine(t, Config{Workers: 3, LeafSize: 128, Batch: 32}, dark)
 	const nv = 4096
 	w, err := e.CaptureWindow(context.Background(), st, nv)
 	if err != nil {
@@ -280,32 +245,84 @@ func TestBackpressureTinyQueue(t *testing.T) {
 	}
 }
 
-func TestBadWindowSize(t *testing.T) {
-	e, err := New(Config{LeafSize: 8}, nil, func(*pcap.Packet) Pair { return Pair{} })
-	if err != nil {
-		t.Fatal(err)
+// emptySource is a stream with no packets at all.
+type emptySource struct{}
+
+func (emptySource) Next(*pcap.Packet) bool { return false }
+
+func rejectAll(*pcap.Packet) bool { return false }
+
+// TestEmptyWindowAccounting pins the accounting of a window that
+// accepts nothing, at one worker and at several: no shard and no leaf,
+// one drop counter per configured worker summing to Dropped, and an
+// empty matrix — the oracle's window, on an empty stream and on a
+// finite stream the filter rejects in full.
+func TestEmptyWindowAccounting(t *testing.T) {
+	const leafSize = 256
+	const nv = 1 << 30 // never reached: each source runs dry first
+	sources := []struct {
+		name string
+		src  func() PacketSource
+	}{
+		{"empty", func() PacketSource { return emptySource{} }},
+		{"all-rejected", func() PacketSource { st, _ := testStream(t, 9); return st }},
 	}
+	for _, s := range sources {
+		oracle := captureOracle(s.src(), rejectAll, identityPair, leafSize, nv)
+		if s.name == "all-rejected" && oracle.Dropped == 0 {
+			t.Fatal("all-rejected stream produced no packets")
+		}
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s workers=%d", s.name, workers)
+			e := newEngine(t, Config{Workers: workers, LeafSize: leafSize}, rejectAll, identityPair)
+			w, err := e.CaptureWindow(context.Background(), s.src(), nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffWindow(t, label, w, oracle)
+			if w.Shards != 0 || w.Leaves != 0 {
+				t.Errorf("%s: Shards/Leaves %d/%d, want 0/0", label, w.Shards, w.Leaves)
+			}
+			if w.Shards != oracle.Shards || w.Leaves != oracle.Leaves {
+				t.Errorf("%s: Shards/Leaves %d/%d, oracle %d/%d", label, w.Shards, w.Leaves, oracle.Shards, oracle.Leaves)
+			}
+			if len(w.ShardDrops) != workers {
+				t.Errorf("%s: %d ShardDrops entries, want %d", label, len(w.ShardDrops), workers)
+			}
+			if w.Matrix.NNZ() != 0 || w.Matrix.NRows() != 0 {
+				t.Errorf("%s: matrix has %d entries in %d rows, want empty", label, w.Matrix.NNZ(), w.Matrix.NRows())
+			}
+		}
+	}
+}
+
+func TestBadWindowSize(t *testing.T) {
+	e := newEngine(t, Config{LeafSize: 8}, nil, identityPair)
 	if _, err := e.CaptureWindow(context.Background(), &infiniteSource{}, 0); err == nil {
 		t.Error("nv=0 accepted")
 	}
 }
 
-// perPacketOnly hides a stream's NextBatch so the engine is forced onto
-// the per-packet reader path — the oracle the slab path is diffed
-// against.
+// perPacketOnly hides a stream's NextBatch so the engine is forced to
+// lift the source through its per-packet adapter.
 type perPacketOnly struct{ s *radiation.Stream }
 
 func (p perPacketOnly) Next(pkt *pcap.Packet) bool { return p.s.Next(pkt) }
 
-// TestBatchSourceMatchesPerPacket diffs the slab reader against the
-// per-packet reader on the same seeded stream: identical windows (NV,
-// drops, span, leaves, every matrix entry) at every worker count.
+// TestBatchSourceMatchesPerPacket diffs the slab reader and the
+// per-packet reader against the per-packet oracle on the same seeded
+// stream: identical windows (NV, drops, span, every matrix entry) at
+// every worker count, and identical leaf counts between the two
+// readers.
 func TestBatchSourceMatchesPerPacket(t *testing.T) {
 	const nv = 1 << 12
+	const leafSize = 1 << 8
+	st, dark := testStream(t, 11)
+	oracle := captureOracle(st, darkFilter(dark), identityPair, leafSize, nv)
 	for _, workers := range []int{1, 4} {
 		batched, dark := testStream(t, 11)
 		plain, _ := testStream(t, 11)
-		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 8}, dark)
+		e := testEngine(t, Config{Workers: workers, LeafSize: leafSize}, dark)
 		wb, err := e.CaptureWindow(context.Background(), batched, nv)
 		if err != nil {
 			t.Fatal(err)
@@ -314,18 +331,10 @@ func TestBatchSourceMatchesPerPacket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wb.NV != wp.NV || wb.Dropped != wp.Dropped || wb.Leaves != wp.Leaves ||
-			!wb.Start.Equal(wp.Start) || !wb.End.Equal(wp.End) {
-			t.Fatalf("workers=%d: window accounting differs:\nslab       %+v\nper-packet %+v", workers, wb, wp)
-		}
-		be, pe := entries(wb.Matrix), entries(wp.Matrix)
-		if len(be) != len(pe) {
-			t.Fatalf("workers=%d: NNZ %d vs %d", workers, len(be), len(pe))
-		}
-		for i := range be {
-			if be[i] != pe[i] {
-				t.Fatalf("workers=%d: entry %d differs: %+v vs %+v", workers, i, be[i], pe[i])
-			}
+		diffWindow(t, fmt.Sprintf("workers=%d slab", workers), wb, oracle)
+		diffWindow(t, fmt.Sprintf("workers=%d per-packet", workers), wp, oracle)
+		if wb.Leaves != wp.Leaves {
+			t.Fatalf("workers=%d: leaves %d (slab) vs %d (per-packet)", workers, wb.Leaves, wp.Leaves)
 		}
 	}
 }
@@ -372,7 +381,7 @@ func TestBatchSourcePreservesStreamPosition(t *testing.T) {
 // backpressure.
 func TestBatchSourceCancellation(t *testing.T) {
 	st, dark := testStream(t, 5)
-	e := testEngine(t, Config{Workers: 4, LeafSize: 1 << 6, Queue: 1}, dark)
+	e := testEngine(t, Config{Workers: 4, LeafSize: 1 << 6}, dark)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.CaptureWindow(ctx, st, 1<<20); !errors.Is(err, context.Canceled) {

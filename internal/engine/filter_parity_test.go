@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -41,131 +42,70 @@ func filteredStream(t testing.TB, seed int64) (*radiation.Stream, ipaddr.Prefix)
 
 // TestParallelFilterMatchesSerial is the in-shard filtering parity
 // sweep: with a drop-heavy filter, every worker count — on both the
-// slab reader and the per-packet reader — must reproduce the serial
+// slab reader and the per-packet reader — must reproduce the per-packet
 // oracle's window exactly (NV, Dropped, Start/End timestamps, every
-// matrix entry), and the per-shard drop counters must sum to the serial
-// drop count. Run under -race in CI, this is also the proof that
-// concurrent filter evaluation and per-shard drop accounting are sound.
+// matrix entry), with one drop counter per shard summing to the
+// oracle's drop count. Run under -race in CI, this is also the proof
+// that concurrent filter evaluation and per-shard drop accounting are
+// sound.
 func TestParallelFilterMatchesSerial(t *testing.T) {
 	const nv = 1 << 12
-	capture := func(workers int, perPacket bool) *Window {
-		st, dark := filteredStream(t, 41)
-		e, err := NewPerWorkerSlab(
-			Config{Workers: workers, LeafSize: 1 << 8, Batch: 96},
-			dropHeavy(dark),
-			func(int) SlabMapper {
-				return func(pkts []pcap.Packet, dst []Pair) {
-					for i := range pkts {
-						dst[i] = Pair{Row: uint32(pkts[i].Src), Col: uint32(pkts[i].Dst)}
-					}
-				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var src PacketSource = st
-		if perPacket {
-			src = perPacketOnly{st}
-		}
-		w, err := e.CaptureWindow(context.Background(), src, nv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
+	const leafSize = 1 << 8
+	st, dark := filteredStream(t, 41)
+	oracle := captureOracle(st, dropHeavy(dark), identityPair, leafSize, nv)
+	if oracle.NV != nv {
+		t.Fatalf("oracle NV = %d, want %d", oracle.NV, nv)
 	}
-
-	serial := capture(1, false)
-	if serial.NV != nv {
-		t.Fatalf("serial NV = %d, want %d", serial.NV, nv)
+	if oracle.Dropped < nv/20 {
+		t.Fatalf("oracle Dropped = %d: filter not drop-heavy enough to exercise the parity rule", oracle.Dropped)
 	}
-	if serial.Dropped < nv/20 {
-		t.Fatalf("serial Dropped = %d: filter not drop-heavy enough to exercise the parity rule", serial.Dropped)
-	}
-	if got := sumDrops(serial.ShardDrops); got != serial.Dropped {
-		t.Fatalf("serial ShardDrops sum %d != Dropped %d", got, serial.Dropped)
-	}
-	want := entries(serial.Matrix)
 
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		for _, perPacket := range []bool{false, true} {
-			label := "slab"
+			st, dark := filteredStream(t, 41)
+			e := newEngine(t, Config{Workers: workers, LeafSize: leafSize, Batch: 96}, dropHeavy(dark), identityPair)
+			var src PacketSource = st
+			label := fmt.Sprintf("workers=%d slab", workers)
 			if perPacket {
-				label = "per-packet"
+				src = perPacketOnly{st}
+				label = fmt.Sprintf("workers=%d per-packet", workers)
 			}
-			w := capture(workers, perPacket)
-			if w.NV != serial.NV || w.Dropped != serial.Dropped {
-				t.Fatalf("workers=%d %s: NV/Dropped %d/%d, want %d/%d",
-					workers, label, w.NV, w.Dropped, serial.NV, serial.Dropped)
-			}
-			if !w.Start.Equal(serial.Start) || !w.End.Equal(serial.End) {
-				t.Fatalf("workers=%d %s: span [%v, %v], want [%v, %v]",
-					workers, label, w.Start, w.End, serial.Start, serial.End)
+			w, err := e.CaptureWindow(context.Background(), src, nv)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if len(w.ShardDrops) != workers {
-				t.Fatalf("workers=%d %s: ShardDrops has %d shards", workers, label, len(w.ShardDrops))
+				t.Fatalf("%s: ShardDrops has %d shards", label, len(w.ShardDrops))
 			}
-			if got := sumDrops(w.ShardDrops); got != serial.Dropped {
-				t.Fatalf("workers=%d %s: ShardDrops %v sums to %d, want %d",
-					workers, label, w.ShardDrops, got, serial.Dropped)
-			}
-			got := entries(w.Matrix)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d %s: NNZ %d, want %d", workers, label, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d %s: entry %d = %+v, want %+v", workers, label, i, got[i], want[i])
-				}
-			}
+			diffWindow(t, label, w, oracle)
 		}
 	}
 }
 
 // TestParallelFilterMultiWindow cuts several back-to-back filtered
 // windows from one shared stream at every worker count: in-shard
-// filtering must leave the source at exactly the serial consumed
-// prefix after each window, or boundaries drift.
+// filtering must leave the source at exactly the per-packet oracle's
+// consumed prefix after each window, or boundaries drift.
 func TestParallelFilterMultiWindow(t *testing.T) {
 	const nv = 1 << 10
-	type span struct {
-		nv, dropped int
-		start, end  time.Time
+	const leafSize = 1 << 7
+	const windows = 4
+	st, dark := filteredStream(t, 43)
+	var oracle []*Window
+	for i := 0; i < windows; i++ {
+		oracle = append(oracle, captureOracle(st, dropHeavy(dark), identityPair, leafSize, nv))
 	}
-	capture := func(workers int) []span {
+	for _, workers := range []int{1, 2, 4} {
 		st, dark := filteredStream(t, 43)
-		e, err := New(Config{Workers: workers, LeafSize: 1 << 7}, dropHeavy(dark),
-			func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []span
-		for i := 0; i < 4; i++ {
+		e := newEngine(t, Config{Workers: workers, LeafSize: leafSize}, dropHeavy(dark), identityPair)
+		for i := 0; i < windows; i++ {
 			w, err := e.CaptureWindow(context.Background(), st, nv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, span{w.NV, w.Dropped, w.Start, w.End})
-		}
-		return out
-	}
-	serial := capture(1)
-	for _, workers := range []int{2, 4} {
-		got := capture(workers)
-		for i := range serial {
-			if got[i].nv != serial[i].nv || got[i].dropped != serial[i].dropped ||
-				!got[i].start.Equal(serial[i].start) || !got[i].end.Equal(serial[i].end) {
-				t.Fatalf("workers=%d window %d: %+v, want %+v", workers, i, got[i], serial[i])
-			}
+			diffWindow(t, fmt.Sprintf("workers=%d window %d", workers, i), w, oracle[i])
 		}
 	}
-}
-
-func sumDrops(drops []int) int {
-	n := 0
-	for _, d := range drops {
-		n += d
-	}
-	return n
 }
 
 // benchFilteredWindow drives repeated drop-heavy window captures; the
@@ -179,11 +119,7 @@ func benchFilteredWindow(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := New(Config{Workers: workers, LeafSize: 1 << 10}, dropHeavy(cfg.Darkspace),
-		func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := newEngine(b, Config{Workers: workers, LeafSize: 1 << 10}, dropHeavy(cfg.Darkspace), identityPair)
 	const nv = 1 << 14
 	st := pop.TelescopeStream(3, time.Unix(0, 0))
 	b.ReportAllocs()

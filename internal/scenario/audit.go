@@ -2,14 +2,19 @@ package scenario
 
 // audit.go cross-checks docs/e2e-cases.md against reality: a `done`
 // row with no Coverage cell is documentation drift (the doc claims a
-// test that nothing names), and the Z-table must match the shipped
-// scenario files one-to-one in both directions.
+// test that nothing names), so is a `done` row whose Coverage cell
+// names a Go test that no _test.go file of the enclosing module
+// defines, and the Z-table must match the shipped scenario files
+// one-to-one in both directions.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -105,6 +110,7 @@ func Audit(casesPath string, scs []*Scenario) ([]AuditFinding, error) {
 		return nil, fmt.Errorf("%w: %s: no case tables found", ErrAudit, casesPath)
 	}
 	var findings []AuditFinding
+	var defined map[string]bool // test names, bare and pkg-qualified; built on first use
 
 	byCase := map[string]caseRow{}
 	for _, r := range rows {
@@ -119,12 +125,29 @@ func Audit(casesPath string, scs []*Scenario) ([]AuditFinding, error) {
 			findings = append(findings, AuditFinding{Case: r.ID, Problem: "duplicate Case ID"})
 		}
 		byCase[r.ID] = r
-		// The core drift check: a row claiming coverage must name it.
-		if r.Status == "done" && r.Coverage == "" {
+		if r.Status != "done" {
+			continue
+		}
+		// The core drift check: a row claiming coverage must name it,
+		// and every Go test it names must exist.
+		if r.Coverage == "" {
 			findings = append(findings, AuditFinding{
 				Case:    r.ID,
 				Problem: fmt.Sprintf("status done with empty Coverage (line %d)", r.Line),
 			})
+		}
+		for _, name := range testName.FindAllString(r.Coverage, -1) {
+			if defined == nil {
+				if defined, err = definedTests(casesPath); err != nil {
+					return nil, err
+				}
+			}
+			if !defined[strings.Trim(name, "`")] {
+				findings = append(findings, AuditFinding{
+					Case:    r.ID,
+					Problem: fmt.Sprintf("Coverage names %s, which no _test.go file defines (line %d)", name, r.Line),
+				})
+			}
 		}
 	}
 
@@ -173,4 +196,54 @@ func Audit(casesPath string, scs []*Scenario) ([]AuditFinding, error) {
 		}
 	}
 	return findings, nil
+}
+
+// testName matches a backticked Coverage entry naming a Go test,
+// benchmark or fuzz target, optionally qualified by its package
+// directory: `TestX`, `pkg.FuzzY`.
+var testName = regexp.MustCompile("`(?:[a-z][a-z0-9_]*\\.)?(?:Test|Fuzz|Benchmark)\\w*`")
+
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+
+// definedTests indexes the Test/Fuzz/Benchmark functions of every
+// _test.go file in the module enclosing casesPath (the nearest
+// directory upward holding a go.mod), both bare ("TestX") and
+// qualified by the defining directory's base name ("pkg.TestX"). With
+// no enclosing module it indexes nothing, so every named test is
+// reported missing.
+func definedTests(casesPath string) (map[string]bool, error) {
+	defined := map[string]bool{}
+	root, err := filepath.Abs(filepath.Dir(casesPath))
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		if filepath.Dir(root) == root {
+			return defined, nil
+		}
+		root = filepath.Dir(root)
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git and build caches
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+			defined[filepath.Base(filepath.Dir(path))+"."+string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: indexing tests: %w", err)
+	}
+	return defined, nil
 }

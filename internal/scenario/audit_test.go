@@ -17,6 +17,29 @@ func writeCases(t *testing.T, content string) string {
 	return path
 }
 
+// writeModule makes the directory holding casesPath a Go module whose
+// pkg/x_test.go defines the given test functions, so the audit's
+// test-name check has something to resolve names against.
+func writeModule(t *testing.T, casesPath, pkg string, tests ...string) {
+	t.Helper()
+	root := filepath.Dir(casesPath)
+	src := "package " + pkg + "\n"
+	for _, name := range tests {
+		src += "\nfunc " + name + "(t *testing.T) {}\n"
+	}
+	if err := os.MkdirAll(filepath.Join(root, pkg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"go.mod":                        "module fixture\n",
+		filepath.Join(pkg, "x_test.go"): src,
+	} {
+		if err := os.WriteFile(filepath.Join(root, path), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 const casesHeader = `# Cases
 
 | Case ID | Title | Priority | Smoke | Status | Coverage |
@@ -47,6 +70,7 @@ func TestAuditDoneRowWithoutCoverage(t *testing.T) {
 		"| W00001 | Covered | p1 | smoke | done | `TestSomething` |\n"+
 		"| W00002 | Drifted | p1 |  | done |  |\n"+
 		"| W00003 | Planned is fine | p2 |  | planned |  |\n")
+	writeModule(t, path, "fixture", "TestSomething")
 	findings, err := Audit(path, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +80,30 @@ func TestAuditDoneRowWithoutCoverage(t *testing.T) {
 	}
 	if !strings.Contains(findings[0].Problem, "Coverage") {
 		t.Errorf("problem %q does not name the Coverage cell", findings[0].Problem)
+	}
+}
+
+// TestAuditStaleTestName: a done row whose Coverage names a test no
+// _test.go file defines is drift, whether the name is bare or
+// package-qualified, and so is a qualified name defined only in
+// another package; planned rows and defined names pass.
+func TestAuditStaleTestName(t *testing.T) {
+	path := writeCases(t, casesHeader+
+		"| W00001 | Bare name | p1 | smoke | done | `TestLive` |\n"+
+		"| W00002 | Qualified name | p1 |  | done | `engine.TestLive`, `BenchmarkLive` |\n"+
+		"| W00003 | Renamed away | p1 |  | done | `engine.TestLive`, `engine.TestGone` (+ CI) |\n"+
+		"| W00004 | Wrong package | p2 |  | done | `core.TestLive` |\n"+
+		"| W00005 | Not yet written | p2 |  | planned | `TestFuture` |\n")
+	writeModule(t, path, "engine", "TestLive", "BenchmarkLive")
+	findings, err := Audit(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 2 || findings[0].Case != "W00003" || findings[1].Case != "W00004" {
+		t.Fatalf("findings = %s, want exactly W00003 and W00004", findingProblems(findings))
+	}
+	if !strings.Contains(findings[0].Problem, "`engine.TestGone`") {
+		t.Errorf("problem %q does not name the stale test", findings[0].Problem)
 	}
 }
 

@@ -1,11 +1,9 @@
 package telescope
 
 import (
-	"time"
+	"context"
 
 	"repro/internal/archive"
-	"repro/internal/hypersparse"
-	"repro/internal/pcap"
 )
 
 // archive.go connects capture to the on-disk archive: instead of merging
@@ -20,53 +18,28 @@ import (
 // and the number dropped by the validity filter. The caller owns calling
 // aw.Finish.
 //
-// One triple-buffer builder serves the whole capture: Build resets it
-// with retained capacity, so every leaf after the first compiles without
-// growing the buffers (the map-based builder this replaces allocated a
-// fresh map per leaf).
+// Each leaf is one one-shard window of the engine capture: the engine
+// never reads past a window's last accepted packet, so consecutive
+// windows over src cut exactly the leaves a per-packet loop would, and
+// the cached engine's pooled accumulator serves every leaf.
 func (t *Telescope) CaptureToArchive(src PacketSource, nv int, aw *archive.Writer) (valid, dropped int, err error) {
-	builder := hypersparse.NewBuilder(t.leafSize)
-	inLeaf := 0
-	var leafStart, leafEnd time.Time
-
-	flush := func() error {
-		if inLeaf == 0 {
-			return nil
+	for valid < nv {
+		want := min(t.leafSize, nv-valid)
+		w, err := t.CaptureWindowEngine(context.Background(), src, want, 1, 0)
+		if err != nil {
+			return valid, dropped, err
 		}
-		if err := aw.AppendLeaf(builder.Build(), leafStart, leafEnd); err != nil {
-			return err
+		dropped += w.Dropped
+		if w.NV == 0 {
+			break
 		}
-		inLeaf = 0
-		return nil
-	}
-
-	var pkt pcap.Packet
-	for valid < nv && src.Next(&pkt) {
-		if !t.Valid(&pkt) {
-			dropped++
-			continue
+		if err := aw.AppendLeaf(w.Matrix, w.Start, w.End); err != nil {
+			return valid, dropped, err
 		}
-		if inLeaf == 0 {
-			leafStart = pkt.Time
+		valid += w.NV
+		if w.NV < want {
+			break // the stream ran dry mid-leaf
 		}
-		leafEnd = pkt.Time
-		arow := t.anon.Anonymize(pkt.Src)
-		acol := t.anon.Anonymize(pkt.Dst)
-		builder.Add(uint32(arow), uint32(acol), 1)
-		valid++
-		inLeaf++
-		if inLeaf == t.leafSize {
-			if err := flush(); err != nil {
-				return valid, dropped, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return valid, dropped, err
-	}
-	t.revCache = nil
-	if rs, ok := src.(*ReaderSource); ok && rs.Err() != nil {
-		return valid, dropped, rs.Err()
 	}
 	return valid, dropped, nil
 }

@@ -13,9 +13,9 @@ func TestCaptureToArchiveMatchesInMemory(t *testing.T) {
 	const nv = 4096
 	const leafSize = 512
 
-	// In-memory window.
+	// In-memory window through the per-packet oracle.
 	telMem := New(pop.Config().Darkspace, "arch-key", WithLeafSize(leafSize))
-	wMem, err := telMem.CaptureWindow(pop.TelescopeStream(4, time.Unix(0, 0)), nv)
+	wMem, err := captureClassic(telMem, pop.TelescopeStream(4, time.Unix(0, 0)), nv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,10 @@ package telescope
 // then anonymizes the survivors' addresses as one batch through its own
 // L1 memo (misses fall through to the shared sharded cache in a single
 // lock epoch per cache shard, with prefix-shared AES walks) — and the
-// engine's merge tree produces the window matrix. Workers=1 is the
-// serial degenerate path, byte-identical to CaptureWindow's output.
+// engine's merge tree produces the window matrix. This is the
+// telescope's one constant-packet window build; every worker count
+// produces the same window as the per-packet classic build the tests
+// keep as their oracle.
 
 import (
 	"context"
@@ -94,11 +96,12 @@ func (t *Telescope) shardAnon(shard int) *shardAnon {
 	return sa
 }
 
-// CaptureWindowEngine captures a constant-packet window through the
-// sharded streaming engine. It produces the same Window as
-// CaptureWindow — the matrix is a sum of the same anonymized triples,
-// only leaf boundaries differ — with backpressure-bounded memory and
-// context cancellation.
+// CaptureWindowEngine reads from src until nv valid packets are
+// collected (or the stream ends) and assembles the anonymized window
+// matrix through the sharded streaming engine, with bounded memory and
+// context cancellation. NV is conserved through anonymization and
+// hierarchical assembly: the matrix sums to the number of packets
+// accepted, at every worker count.
 func (t *Telescope) CaptureWindowEngine(ctx context.Context, src PacketSource, nv, workers, batch int) (*Window, error) {
 	eng, err := t.Engine(workers, batch)
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 )
 
 // TestEngineCaptureMatchesSerial verifies the engine-backed capture is
-// indistinguishable from the classic serial build at every boundary:
+// indistinguishable from the classic per-packet build (captureClassic)
+// at every boundary:
 // exact anonymized matrix equality, window bounds, and the deanonymized
 // D4M source table.
 func TestEngineCaptureMatchesSerial(t *testing.T) {
@@ -35,7 +36,7 @@ func TestEngineCaptureMatchesSerial(t *testing.T) {
 		var err error
 		src := pop.TelescopeStream(3, time.Unix(0, 0))
 		if workers == 0 {
-			win, err = tel.CaptureWindow(src, nv)
+			win, err = captureClassic(tel, src, nv)
 		} else {
 			win, err = tel.CaptureWindowEngine(context.Background(), src, nv, workers, 256)
 		}
@@ -62,7 +63,7 @@ func TestEngineCaptureMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: window bounds differ", workers)
 		}
 		if !hypersparse.Equal(got.win.Matrix, classic.win.Matrix) {
-			t.Fatalf("workers=%d: engine matrix differs from serial", workers)
+			t.Fatalf("workers=%d: engine matrix differs from the classic build", workers)
 		}
 		if len(got.table) != len(classic.table) {
 			t.Fatalf("workers=%d: table sizes differ: %d vs %d", workers, len(got.table), len(classic.table))
@@ -144,8 +145,8 @@ func TestEngineCaptureCancel(t *testing.T) {
 // to end: radiation -> pcap file -> batched reader (ReaderSource
 // satisfies the engine's BatchSource, so the engine pulls whole decoded
 // slabs) -> sharded engine with in-worker filtering and batched
-// CryptoPAN -> window. It must match the classic serial capture over a
-// fresh reader of the same bytes exactly.
+// CryptoPAN -> window. It must match the classic per-packet capture
+// (captureClassic) over a fresh reader of the same bytes exactly.
 func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 	pop := testPopulation(t, 800)
 	st := pop.TelescopeStream(4, time.Unix(1_592_395_200, 0))
@@ -171,7 +172,7 @@ func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 
 	const nv = 2000
 	classicTel := New(pop.Config().Darkspace, "pcap-engine")
-	classic, err := classicTel.CaptureWindow(read(), nv)
+	classic, err := captureClassic(classicTel, read(), nv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 				classic.NV, classic.Dropped, classic.Start, classic.End)
 		}
 		if !hypersparse.Equal(w.Matrix, classic.Matrix) {
-			t.Fatalf("workers=%d: matrix differs from serial pcap capture", workers)
+			t.Fatalf("workers=%d: matrix differs from the classic pcap capture", workers)
 		}
 	}
 }
@@ -223,20 +224,10 @@ func TestEngineReaderSourceTruncated(t *testing.T) {
 	}
 }
 
-func BenchmarkCaptureSerial(b *testing.B) {
-	benchCapture(b, func(tel *Telescope, src PacketSource, nv int) (*Window, error) {
-		return tel.CaptureWindow(src, nv)
-	})
-}
-
+// BenchmarkCaptureEngine measures one cold 64k-packet window through
+// the production capture: a fresh telescope per window, default
+// workers and batch.
 func BenchmarkCaptureEngine(b *testing.B) {
-	benchCapture(b, func(tel *Telescope, src PacketSource, nv int) (*Window, error) {
-		return tel.CaptureWindowEngine(context.Background(), src, nv, 0, 0)
-	})
-}
-
-func benchCapture(b *testing.B, capture func(*Telescope, PacketSource, int) (*Window, error)) {
-	b.Helper()
 	c := radiation.DefaultConfig()
 	c.NumSources = 50000
 	pop, err := radiation.NewPopulation(c)

@@ -23,7 +23,7 @@ func TestPublishFetchSourceTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := New(cfg.Darkspace, "publish-key", WithLeafSize(1<<9))
-	w, err := tel.CaptureWindow(pop.TelescopeStream(3, time.Unix(0, 0)), 2048)
+	w, err := capture(tel, pop.TelescopeStream(3, time.Unix(0, 0)), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}

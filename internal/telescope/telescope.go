@@ -12,7 +12,6 @@
 package telescope
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -27,10 +26,8 @@ import (
 )
 
 // PacketSource yields packets in time order; Next returns false when the
-// stream is exhausted.
-type PacketSource interface {
-	Next(*pcap.Packet) bool
-}
+// stream is exhausted. It is the engine's source contract.
+type PacketSource = engine.PacketSource
 
 // ReaderSource adapts a pcap.Reader to the PacketSource interface.
 type ReaderSource struct {
@@ -73,9 +70,9 @@ func (rs *ReaderSource) Err() error { return rs.err }
 
 // Telescope holds the observatory configuration. Construct with New.
 //
-// A Telescope runs one capture at a time: CaptureWindow,
-// CaptureWindowEngine, CaptureTimeWindow, and CaptureToArchive must not
-// be invoked concurrently with each other (a capture internally shards
+// A Telescope runs one capture at a time: CaptureWindowEngine,
+// CaptureTimeWindow, and CaptureToArchive must not be invoked
+// concurrently with each other (a capture internally shards
 // across goroutines just fine). This was always the contract — the
 // deanonymization memo is invalidated unsynchronized at capture
 // boundaries — and the per-shard L1 anonymization memos and cached
@@ -85,7 +82,6 @@ func (rs *ReaderSource) Err() error { return rs.err }
 type Telescope struct {
 	darkspace ipaddr.Prefix
 	leafSize  int
-	workers   int
 	anon      *cryptopan.Cached
 
 	poolMu  sync.Mutex
@@ -103,9 +99,6 @@ type Option func(*Telescope)
 // assembly (the paper uses 2^17; the default here is 2^14 for
 // laptop-scale windows).
 func WithLeafSize(n int) Option { return func(t *Telescope) { t.leafSize = n } }
-
-// WithWorkers sets the merge parallelism (default: GOMAXPROCS).
-func WithWorkers(n int) Option { return func(t *Telescope) { t.workers = n } }
 
 // WithAnonymizer shares an existing CryptoPAN cache instead of building
 // a private one from the passphrase. The study scheduler uses this to
@@ -168,48 +161,12 @@ type Window struct {
 // windows have variable duration (Table I's "CAIDA Duration" column).
 func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// CaptureWindow reads from src until nv valid packets are collected (or
-// the stream ends) and assembles the anonymized window matrix. The
-// number of packets in the matrix equals the number accepted: NV is
-// conserved through anonymization and hierarchical assembly.
-func (t *Telescope) CaptureWindow(src PacketSource, nv int) (*Window, error) {
-	if nv <= 0 {
-		return nil, fmt.Errorf("telescope: window size must be positive, got %d", nv)
-	}
-	acc := hypersparse.NewAccumulator(t.leafSize, t.workers)
-	w := &Window{}
-	var pkt pcap.Packet
-	for w.NV < nv && src.Next(&pkt) {
-		if !t.Valid(&pkt) {
-			w.Dropped++
-			continue
-		}
-		if w.NV == 0 {
-			w.Start = pkt.Time
-		}
-		w.End = pkt.Time
-		arow := t.anon.Anonymize(pkt.Src)
-		acol := t.anon.Anonymize(pkt.Dst)
-		acc.Add(uint32(arow), uint32(acol), 1)
-		w.NV++
-	}
-	w.Leaves = acc.Leaves()
-	if w.NV%t.leafSize != 0 {
-		w.Leaves++ // partial tail leaf
-	}
-	w.Matrix = acc.Finish()
-	if rs, ok := src.(*ReaderSource); ok && rs.Err() != nil {
-		return nil, rs.Err()
-	}
-	return w, nil
-}
-
 // CaptureTimeWindow is the constant-time alternative (ablation A3): it
 // accepts valid packets until the stream's clock passes start+span.
 // Constant-time windows have variable NV, which the paper argues makes
 // heavy-tail statistics harder to compare across windows.
 func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Window, error) {
-	acc := hypersparse.NewAccumulator(t.leafSize, t.workers)
+	acc := hypersparse.NewAccumulator(t.leafSize, 0)
 	w := &Window{}
 	var pkt pcap.Packet
 	for src.Next(&pkt) {
@@ -252,7 +209,7 @@ func (t *Telescope) Deanonymize(a ipaddr.Addr) (ipaddr.Addr, bool) {
 
 // reverse materializes the anonymization table's inverse, memoized until
 // further capture grows the table. Not safe for use concurrently with
-// CaptureWindow.
+// a capture.
 func (t *Telescope) reverse() map[ipaddr.Addr]ipaddr.Addr {
 	if n := t.anon.Len(); t.revCache == nil || t.revSize != n {
 		t.revCache = t.anon.Reverse()

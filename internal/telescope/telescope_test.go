@@ -47,7 +47,7 @@ func TestCaptureWindowExactNV(t *testing.T) {
 	tel := New(pop.Config().Darkspace, "exact-nv", WithLeafSize(256))
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
 	const nv = 4096
-	w, err := tel.CaptureWindow(st, nv)
+	w, err := capture(tel, st, nv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCaptureWindowShortStream(t *testing.T) {
 	pop := testPopulation(t, 200)
 	tel := New(pop.Config().Darkspace, "short")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, err := tel.CaptureWindow(st, 1<<30)
+	w, err := capture(tel, st, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCaptureWindowShortStream(t *testing.T) {
 
 func TestCaptureWindowRejectsBadNV(t *testing.T) {
 	tel := New(ipaddr.MustParsePrefix("44.0.0.0/8"), "bad")
-	if _, err := tel.CaptureWindow(nil, 0); err == nil {
+	if _, err := capture(tel, nil, 0); err == nil {
 		t.Error("NV=0 accepted")
 	}
 }
@@ -97,7 +97,7 @@ func TestCaptureDropsInvalid(t *testing.T) {
 	pop, _ := radiation.NewPopulation(c)
 	tel := New(c.Darkspace, "drops")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, err := tel.CaptureWindow(st, 1<<30) // drain whole stream
+	w, err := capture(tel, st, 1<<30) // drain whole stream
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAnonymizedMatrixHidesRealAddresses(t *testing.T) {
 	pop := testPopulation(t, 1000)
 	tel := New(pop.Config().Darkspace, "hide")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, _ := tel.CaptureWindow(st, 2048)
+	w, _ := capture(tel, st, 2048)
 	// Column ids are anonymized darkspace addresses; overwhelmingly they
 	// should NOT fall inside the darkspace prefix (CryptoPAN moves the
 	// /8 to a different anonymized /8 unless the key happens to fix it).
@@ -136,7 +136,7 @@ func TestSourceTableDeanonymizes(t *testing.T) {
 	pop := testPopulation(t, 1000)
 	tel := New(pop.Config().Darkspace, "roundtrip")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, _ := tel.CaptureWindow(st, 2048)
+	w, _ := capture(tel, st, 2048)
 
 	table := tel.SourceTable(w)
 	if table.NRows() != w.Matrix.NRows() {
@@ -168,7 +168,7 @@ func TestDeanonymizeRoundTrip(t *testing.T) {
 	pop := testPopulation(t, 500)
 	tel := New(pop.Config().Darkspace, "deanon")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, _ := tel.CaptureWindow(st, 1024)
+	w, _ := capture(tel, st, 1024)
 	for _, anonRow := range w.Matrix.Rows()[:10] {
 		orig, ok := tel.Deanonymize(ipaddr.Addr(anonRow))
 		if !ok {
@@ -225,7 +225,7 @@ func TestPcapRoundTripThroughTelescope(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := New(pop.Config().Darkspace, "pcap-path")
-	w, err := tel.CaptureWindow(&ReaderSource{R: pr}, 2000)
+	w, err := capture(tel, &ReaderSource{R: pr}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,20 +262,5 @@ func TestConstantPacketVsConstantTimeVariance(t *testing.T) {
 	}
 	if allSame {
 		t.Log("constant-time windows happened to capture identical NV; unusual but not an error")
-	}
-}
-
-func BenchmarkCaptureWindow64k(b *testing.B) {
-	c := radiation.DefaultConfig()
-	c.NumSources = 50000
-	pop, _ := radiation.NewPopulation(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tel := New(c.Darkspace, "bench")
-		st := pop.TelescopeStream(4, time.Unix(0, 0))
-		if _, err := tel.CaptureWindow(st, 1<<16); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
